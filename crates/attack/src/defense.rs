@@ -14,7 +14,6 @@
 //!   are priced with.
 
 use crate::observation::{LinkEvent, Observation};
-use serde::{Deserialize, Serialize};
 use tee_serve::config::KvProtocol;
 use tee_sim::Time;
 
@@ -32,7 +31,7 @@ pub const SHAPING_QUANTUM: Time = Time::from_us(64);
 pub const SHIELD_SLOT_BYTES: u64 = 1 << 28;
 
 /// Link traffic-shaping policy (what the wire schedule gives away).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Shaping {
     /// No shaping: transfers occupy exactly their ciphertext time.
     Unshaped,
@@ -131,7 +130,7 @@ pub struct ShapedObservation {
 }
 
 /// At-rest protection for spilled KV.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KvShield {
     /// Spilled blobs keep their true size (the transfer encryption
     /// still protects content, but size tracks session context).

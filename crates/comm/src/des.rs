@@ -16,12 +16,11 @@
 //! pricing and arbitration separate is what lets a contention-free DES
 //! run reproduce the analytic fold bit-for-bit.
 
-use serde::Serialize;
 use tee_sim::probe::SharedProbe;
 use tee_sim::Time;
 
 /// Outcome of one [`FabricLink::occupy`] request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FabricGrant {
     /// When the transfer actually started (`>= at` requested).
     pub start: Time,
@@ -32,7 +31,7 @@ pub struct FabricGrant {
 }
 
 /// One direction of a shared interconnect, arbitrated in arrival order.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FabricLink {
     busy_until: Time,
     last_request: Time,

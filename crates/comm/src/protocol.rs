@@ -1,11 +1,10 @@
 //! Timing models of the two transfer protocols (§3.3, §4.4, Figures 6 & 21).
 
 use crate::link::{AesEngine, PcieLink};
-use serde::{Deserialize, Serialize};
 use tee_sim::Time;
 
 /// Per-phase breakdown of one transfer (Figure 21's stacked bars).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransferBreakdown {
     /// Sender-side re-encryption into the non-secure staging region
     /// (decrypt with the enclave key + encrypt with the transit key).

@@ -23,11 +23,10 @@
 
 use crate::link::PcieLink;
 use crate::protocol::{DirectProtocol, StagingProtocol, TransferBreakdown};
-use serde::Serialize;
 use tee_sim::Time;
 
 /// The NPU↔NPU interconnect the ring runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Interconnect {
     /// PCIe 4.0 ×16 peer-to-peer (same link class as the CPU↔NPU bus,
     /// Table 1): ~32 GB/s per direction, ~600 ns base latency.
@@ -94,7 +93,7 @@ impl Default for Interconnect {
 /// re-encrypt / bus / decrypt events on a shared fabric) — both consume
 /// identical per-hop numbers, which is what makes DES-lockstep reproduce
 /// the analytic breakdown bit-for-bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HopCost {
     /// Staging conversion on the send side (zero for direct/plain).
     pub re_encryption: Time,
@@ -113,7 +112,7 @@ impl HopCost {
 
 /// Per-phase cost of one ring all-reduce, per rank (all ranks operate in
 /// lockstep, so this is also the wall-clock cost of the collective).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllReduceBreakdown {
     /// Synchronized ring steps executed (`2·(n−1)`).
     pub steps: u32,

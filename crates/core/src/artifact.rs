@@ -2,8 +2,8 @@
 //! [`Artifact`] returning a structured [`Report`].
 //!
 //! This is the programmatic front door to the evaluation (§6): the
-//! `tensortee` CLI, the benches in `crates/bench` and the examples all
-//! resolve artifacts here instead of hand-wiring experiment calls. The
+//! `tensortee` CLI, the `tensortee bench` perf trajectory and the examples
+//! all resolve artifacts here instead of hand-wiring experiment calls. The
 //! runner implementations live in [`crate::experiments`]; a shared
 //! [`RunContext`] bundles the configuration knobs they used to duplicate.
 

@@ -1,14 +1,13 @@
 //! End-to-end system configuration (Table 1), security modes, and the
 //! multi-NPU cluster shape.
 
-use serde::Serialize;
 use tee_comm::{Interconnect, PcieLink};
 use tee_cpu::CpuConfig;
 use tee_npu::NpuConfig;
 use tee_sim::Time;
 
 /// The three configurations compared throughout §6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SecureMode {
     /// No protection anywhere (performance reference).
     NonSecure,
@@ -41,7 +40,7 @@ impl SecureMode {
 }
 
 /// The full-system configuration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SystemConfig {
     /// CPU socket (Table 1 upper half).
     pub cpu: CpuConfig,
@@ -84,7 +83,7 @@ impl Default for SystemConfig {
 /// Shape of a multi-NPU data-parallel cluster: one CPU TEE driving
 /// `n_npus` NPU TEEs whose gradients aggregate over a secure ring
 /// all-reduce on `interconnect` (see [`tee_comm::ring`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterConfig {
     /// Data-parallel NPU replicas (the paper's evaluated system is
     /// `n_npus == 1`).

@@ -24,7 +24,6 @@
 
 use crate::config::{ClusterConfig, SecureMode, SystemConfig};
 use crate::system::{ClusterStepBreakdown, TrainingSystem};
-use serde::Serialize;
 use std::cell::RefCell;
 use std::rc::Rc;
 use tee_comm::des::FabricLink;
@@ -36,7 +35,7 @@ use tee_sim::Time;
 use tee_workloads::StepSchedule;
 
 /// How the model is laid out across the cluster's NPUs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Parallelism {
     /// Every NPU holds the full model and a `1/N` batch shard; gradients
     /// ring-all-reduce (the analytic model's regime).
@@ -62,7 +61,7 @@ impl Parallelism {
 
 /// Cluster shape plus the DES-only knobs the analytic model cannot
 /// express.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesClusterConfig {
     /// The underlying cluster (replica count + fabric).
     pub cluster: ClusterConfig,

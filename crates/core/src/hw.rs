@@ -6,10 +6,9 @@
 //! reproduces the arithmetic so the budget is regenerated, not quoted.
 
 use crate::report::Table;
-use serde::Serialize;
 
 /// Bit widths of one Meta Table entry (§6.5).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MetaEntryBits {
     /// Address field.
     pub address: u32,
@@ -46,7 +45,7 @@ impl MetaEntryBits {
 }
 
 /// The §6.5 hardware budget.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct HardwareBudget {
     /// Meta Table entries (512).
     pub meta_entries: u32,

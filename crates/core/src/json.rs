@@ -1,8 +1,7 @@
 //! Hand-rolled JSON writing and well-formedness checking.
 //!
-//! The vendored `serde` stand-in only provides no-op derives (the build
-//! environment has no network access), so the [`crate::report::Report`]
-//! JSON export is written by hand: a small ordered [`Json`] value type, a
+//! The workspace has no serialization dependency, so the
+//! [`crate::report::Report`] JSON export is written by hand: a small ordered [`Json`] value type, a
 //! writer that follows RFC 8259 (string escaping, `null` for non-finite
 //! floats), and a validator the CLI smoke tests use to keep the emitted
 //! bytes honest without a full parser dependency.

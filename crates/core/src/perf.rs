@@ -1,7 +1,8 @@
 //! The perf trajectory — `tensortee bench`.
 //!
-//! Times every registry artifact (warmup + median-of-N wall clock) plus
-//! the per-point cost of every `explore` scenario sweep, and renders
+//! Times every registry artifact (warmup + median-of-N wall clock), the
+//! per-point cost of every `explore` scenario sweep and a list of
+//! per-layer kernel microbenches, and renders
 //! the result as the `BENCH_<rev>.json` baseline committed at the repo
 //! root. CI re-measures on every push and *ratchets*: a median more than
 //! the tolerance band above the committed baseline fails the build
@@ -28,7 +29,7 @@ use tee_sim::{EventQueue, HeapQueue, SplitMix64, Time};
 use tee_workloads::StepSchedule;
 
 /// The `schema` tag carried by every `BENCH_<rev>.json`.
-pub const SCHEMA: &str = "tensortee-bench/v1";
+pub const SCHEMA: &str = "tensortee-bench/v2";
 
 /// Measurement options for [`BenchTrajectory::measure`].
 #[derive(Debug, Clone, Copy)]
@@ -68,7 +69,8 @@ pub struct ArtifactTiming {
 /// Wall-clock timing of one `explore` scenario sweep.
 #[derive(Debug, Clone)]
 pub struct SweepTiming {
-    /// The scenario label (`train` / `cluster` / `serve`).
+    /// The scenario label (`train` / `cluster` / `serve` / `des` /
+    /// `fleet` / `attack`).
     pub scenario: &'static str,
     /// Points sampled by the sweep.
     pub points: usize,
@@ -81,50 +83,22 @@ pub struct SweepTiming {
     pub per_point_us: f64,
 }
 
-/// Wall-clock timing of one event-queue implementation on the synthetic
-/// hold-model workload (steady-state pop-and-reschedule; see
-/// `drive_queue`).
+/// Wall-clock timing of one kernel microbench: a fixed unit of work from
+/// one layer of the stack, timed in isolation so its cost reads as
+/// nanoseconds per unit.
 #[derive(Debug, Clone)]
-pub struct QueueTiming {
-    /// Queue implementation (`calendar` / `heap`).
-    pub queue: &'static str,
-    /// Events scheduled and popped per repetition.
-    pub events: u64,
+pub struct KernelTiming {
+    /// Stack layer the kernel belongs to (`sim` / `attack`).
+    pub layer: &'static str,
+    /// Kernel name, unique within its layer.
+    pub kernel: &'static str,
+    /// Work units one repetition processes (events, features, objects);
+    /// deterministic for a fixed context, so this is a structural field.
+    pub units: u64,
     /// Median wall time, milliseconds.
     pub median_ms: f64,
-    /// Median cost per event (one schedule + one pop), nanoseconds.
-    pub per_event_ns: f64,
-}
-
-/// Wall-clock timing of the probe-overhead microbench: the DES cluster
-/// step simulated with the observability layer off (`null`) and
-/// recording (`trace`). The gap between the two rows is the cost of
-/// tracing; the `null` row ratchets the zero-overhead-when-off claim.
-#[derive(Debug, Clone)]
-pub struct ProbeTiming {
-    /// Probe mode (`null` / `trace`).
-    pub probe: &'static str,
-    /// Probe events recorded per repetition (0 for `null`); deterministic
-    /// for a fixed context, so this is a structural field.
-    pub events: u64,
-    /// Median wall time, milliseconds.
-    pub median_ms: f64,
-}
-
-/// Wall-clock timing of one adversary-analysis stage (`tee-attack`) on
-/// a fixed recorded trace: the serving/fleet simulations run once,
-/// untimed; the stages time what the adversary pays to turn the
-/// recording into bits.
-#[derive(Debug, Clone)]
-pub struct AttackTiming {
-    /// Analysis stage (`observe` / `traffic` / `residency`).
-    pub stage: &'static str,
-    /// Items the stage processes per repetition (probe events, link
-    /// features, spilled objects); deterministic for a fixed context,
-    /// so this is a structural field.
-    pub events: u64,
-    /// Median wall time, milliseconds.
-    pub median_ms: f64,
+    /// Median cost per unit, nanoseconds.
+    pub ns_per_unit: f64,
 }
 
 /// One measured point on the repo's perf trajectory.
@@ -148,15 +122,9 @@ pub struct BenchTrajectory {
     pub artifacts: Vec<ArtifactTiming>,
     /// Per-scenario sweep timings, in [`Scenario::all`] order.
     pub sweeps: Vec<SweepTiming>,
-    /// Event-queue microbench: the calendar queue the DES scheduler runs
-    /// on vs. the binary-heap reference, same synthetic workload.
-    pub queues: Vec<QueueTiming>,
-    /// Probe-overhead microbench: the DES cluster step with observability
-    /// off vs. recording, same schedule.
-    pub probes: Vec<ProbeTiming>,
-    /// Adversary-analysis microbench: the tee-attack stages on a fixed
-    /// recorded trace.
-    pub attacks: Vec<AttackTiming>,
+    /// Kernel microbenches, in row order: the `sim` queue and probe
+    /// pairs, then the `attack` stages.
+    pub kernels: Vec<KernelTiming>,
 }
 
 /// Events per queue-microbench repetition: the acceptance bar for the
@@ -201,99 +169,114 @@ fn drive_queue<Q>(
     checksum
 }
 
-/// Times both event-queue implementations on the shared workload.
-fn measure_queues(opts: &BenchOptions) -> Vec<QueueTiming> {
-    let events = QUEUE_BENCH_EVENTS;
-    let run_calendar = || {
-        let mut q: EventQueue<u64> = EventQueue::new();
-        std::hint::black_box(drive_queue(
-            &mut q,
-            events,
-            |q, at, e| q.schedule(at, e),
-            |q| q.pop(),
-        ));
-    };
-    let run_heap = || {
-        let mut q: HeapQueue<u64> = HeapQueue::new();
-        std::hint::black_box(drive_queue(
-            &mut q,
-            events,
-            |q, at, e| q.schedule(at, e),
-            |q| q.pop(),
-        ));
-    };
-    let mut out = Vec::new();
-    for (queue, f) in [
-        ("calendar", &run_calendar as &dyn Fn()),
-        ("heap", &run_heap as &dyn Fn()),
-    ] {
-        for _ in 0..opts.warmup {
-            f();
-        }
-        let samples = time_repeats(opts.repeats, f);
-        let median_ms = median(&samples);
-        out.push(QueueTiming {
-            queue,
-            events,
-            median_ms,
-            per_event_ns: median_ms * 1e6 / events as f64,
-        });
+/// Times one kernel: `opts.warmup` untimed calls of `f`, then the median
+/// of `opts.repeats` timed ones, priced per each of the `units` of work
+/// one call processes.
+fn time_kernel(
+    layer: &'static str,
+    kernel: &'static str,
+    units: u64,
+    opts: &BenchOptions,
+    f: impl Fn(),
+) -> KernelTiming {
+    if opts.progress {
+        eprintln!("bench kernel {layer}/{kernel} ...");
     }
+    for _ in 0..opts.warmup {
+        f();
+    }
+    let median_ms = median(&time_repeats(opts.repeats, &f));
+    KernelTiming {
+        layer,
+        kernel,
+        units,
+        median_ms,
+        ns_per_unit: median_ms * 1e6 / units.max(1) as f64,
+    }
+}
+
+/// Times every kernel microbench, in row order:
+///
+/// * `sim/calendar`, `sim/heap` — the calendar queue the DES scheduler
+///   runs on vs. the binary-heap reference, same hold-model workload;
+/// * `sim/probe_null`, `sim/probe_trace` — the DES cluster step with
+///   observability off vs. recording. Both rows count the probe events
+///   one recording captures, so the null row reads as the cost per
+///   dropped hook and ratchets the zero-overhead-when-off claim;
+/// * `attack/observe`, `attack/traffic`, `attack/residency` — the
+///   tee-attack analysis stages on a fixed recorded trace.
+fn measure_kernels(ctx: &RunContext, opts: &BenchOptions) -> Vec<KernelTiming> {
+    let mut out = queue_kernels(opts);
+    out.extend(probe_kernels(ctx, opts));
+    out.extend(attack_kernels(ctx, opts));
     out
 }
 
-/// Times the DES cluster step with tracing off and on. The workload
-/// mirrors the `obs_utilization` artifact: the context's largest cluster
-/// running the primary model one full step under TensorTEE.
-fn measure_probes(ctx: &RunContext, opts: &BenchOptions) -> Vec<ProbeTiming> {
-    let model = ctx.primary_model();
-    let schedule = StepSchedule::of(&model);
+/// Times both event-queue implementations on the shared workload.
+fn queue_kernels(opts: &BenchOptions) -> Vec<KernelTiming> {
+    let events = QUEUE_BENCH_EVENTS;
+    vec![
+        time_kernel("sim", "calendar", events, opts, || {
+            let mut q: EventQueue<u64> = EventQueue::new();
+            std::hint::black_box(drive_queue(
+                &mut q,
+                events,
+                |q, at, e| q.schedule(at, e),
+                |q| q.pop(),
+            ));
+        }),
+        time_kernel("sim", "heap", events, opts, || {
+            let mut q: HeapQueue<u64> = HeapQueue::new();
+            std::hint::black_box(drive_queue(
+                &mut q,
+                events,
+                |q, at, e| q.schedule(at, e),
+                |q| q.pop(),
+            ));
+        }),
+    ]
+}
+
+/// The probe-overhead workload, mirroring the `obs_utilization` artifact:
+/// the context's largest cluster running the primary model one full DES
+/// step under TensorTEE, emitting into the given probe.
+fn probe_workload(ctx: &RunContext) -> impl Fn(&SharedProbe) + '_ {
+    let schedule = StepSchedule::of(&ctx.primary_model());
     let n = ctx.cluster_sizes.iter().copied().max().unwrap_or(4).max(2);
-    let cpu = Time::from_ms(25);
-    let simulate = |probe: &SharedProbe| {
+    move |probe: &SharedProbe| {
         let des = DesClusterSystem::new(
             ctx.cfg.clone(),
             DesClusterConfig::lockstep(ctx.cluster_of(n)),
             crate::SecureMode::TensorTee,
         )
         .with_probe(probe.clone())
-        .simulate_with_cpu_time(&schedule, cpu);
+        .simulate_with_cpu_time(&schedule, Time::from_ms(25));
         std::hint::black_box(des);
-    };
-    let mut out = Vec::new();
-    for mode in ["null", "trace"] {
-        let probe_of = || {
-            if mode == "null" {
-                SharedProbe::Null
-            } else {
-                SharedProbe::recording()
-            }
-        };
-        for _ in 0..opts.warmup {
-            simulate(&probe_of());
-        }
-        // Event count is structural: re-record once outside the timers.
-        let counted = probe_of();
-        simulate(&counted);
-        let events = counted
-            .snapshot()
-            .map(|s| s.events().len() as u64)
-            .unwrap_or(0);
-        let samples = time_repeats(opts.repeats, || simulate(&probe_of()));
-        out.push(ProbeTiming {
-            probe: mode,
-            events,
-            median_ms: median(&samples),
-        });
     }
-    out
+}
+
+/// Times the probe workload with tracing off and on.
+fn probe_kernels(ctx: &RunContext, opts: &BenchOptions) -> Vec<KernelTiming> {
+    let simulate = probe_workload(ctx);
+    // The event count is structural: record once outside the timers.
+    let recorded = SharedProbe::recording();
+    simulate(&recorded);
+    let events = recorded.snapshot().map_or(0, |s| s.events().len() as u64);
+    vec![
+        time_kernel("sim", "probe_null", events, opts, || {
+            simulate(&SharedProbe::Null)
+        }),
+        time_kernel("sim", "probe_trace", events, opts, || {
+            simulate(&SharedProbe::recording())
+        }),
+    ]
 }
 
 /// Times the tee-attack analysis stages on a fixed recorded trace: one
 /// serving run of the primary model (the `attack_defended` setup) and
 /// one fleet session trace, simulated/generated once outside the
 /// timers, then each adversary stage repeated on the frozen inputs.
-fn measure_attacks(ctx: &RunContext, opts: &BenchOptions) -> Vec<AttackTiming> {
+fn attack_kernels(ctx: &RunContext, opts: &BenchOptions) -> Vec<KernelTiming> {
     let model = ctx.primary_model();
     let (_, test_seed) = crate::attack::attack_seeds(ctx);
     let (_, snap) = crate::attack::traced_serve(ctx, &model, test_seed);
@@ -303,39 +286,25 @@ fn measure_attacks(ctx: &RunContext, opts: &BenchOptions) -> Vec<AttackTiming> {
     let trace = trace_cfg.generate();
     let (sessions, sizes) = crate::attack::spilled_objects(&fleet_model, &trace);
     let samples: Vec<(u64, u64)> = sessions.into_iter().zip(sizes).collect();
-
-    let run_observe = || {
-        std::hint::black_box(Observation::from_trace(&snap));
-    };
-    let run_traffic = || {
-        let bits = extractable_bits(&features);
-        let shaped = Shaping::Padded.apply(&view);
-        std::hint::black_box((bits, shaped.padding));
-    };
-    let run_residency = || {
-        std::hint::black_box(link_sessions(&samples));
-    };
-    let mut out = Vec::new();
-    for (stage, events, f) in [
-        (
+    vec![
+        time_kernel(
+            "attack",
             "observe",
             snap.events().len() as u64,
-            &run_observe as &dyn Fn(),
+            opts,
+            || {
+                std::hint::black_box(Observation::from_trace(&snap));
+            },
         ),
-        ("traffic", features.len() as u64, &run_traffic),
-        ("residency", samples.len() as u64, &run_residency),
-    ] {
-        for _ in 0..opts.warmup {
-            f();
-        }
-        let timed = time_repeats(opts.repeats, f);
-        out.push(AttackTiming {
-            stage,
-            events,
-            median_ms: median(&timed),
-        });
-    }
-    out
+        time_kernel("attack", "traffic", features.len() as u64, opts, || {
+            let bits = extractable_bits(&features);
+            let shaped = Shaping::Padded.apply(&view);
+            std::hint::black_box((bits, shaped.padding));
+        }),
+        time_kernel("attack", "residency", samples.len() as u64, opts, || {
+            std::hint::black_box(link_sessions(&samples));
+        }),
+    ]
 }
 
 /// Times `repeats` invocations of `f`, returning each wall time in
@@ -433,18 +402,7 @@ impl BenchTrajectory {
                 }
             })
             .collect();
-        if opts.progress {
-            eprintln!("bench event queues (calendar vs heap) ...");
-        }
-        let queues = measure_queues(opts);
-        if opts.progress {
-            eprintln!("bench probe overhead (null vs trace) ...");
-        }
-        let probes = measure_probes(ctx, opts);
-        if opts.progress {
-            eprintln!("bench adversary analysis (tee-attack stages) ...");
-        }
-        let attacks = measure_attacks(ctx, opts);
+        let kernels = measure_kernels(ctx, opts);
         BenchTrajectory {
             rev: detect_rev(),
             profile: if ctx.fast { "fast" } else { "full" },
@@ -455,9 +413,7 @@ impl BenchTrajectory {
             seed: ctx.seed,
             artifacts,
             sweeps,
-            queues,
-            probes,
-            attacks,
+            kernels,
         }
     }
 
@@ -514,46 +470,17 @@ impl BenchTrajectory {
                 ),
             ),
             (
-                "queues",
+                "kernels",
                 Json::Array(
-                    self.queues
+                    self.kernels
                         .iter()
-                        .map(|q| {
+                        .map(|k| {
                             Json::object([
-                                ("queue", Json::str(q.queue)),
-                                ("events", Json::Int(q.events as i64)),
-                                ("median_ms", Json::Float(q.median_ms)),
-                                ("per_event_ns", Json::Float(q.per_event_ns)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "probes",
-                Json::Array(
-                    self.probes
-                        .iter()
-                        .map(|p| {
-                            Json::object([
-                                ("probe", Json::str(p.probe)),
-                                ("events", Json::Int(p.events as i64)),
-                                ("median_ms", Json::Float(p.median_ms)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "attacks",
-                Json::Array(
-                    self.attacks
-                        .iter()
-                        .map(|a| {
-                            Json::object([
-                                ("stage", Json::str(a.stage)),
-                                ("events", Json::Int(a.events as i64)),
-                                ("median_ms", Json::Float(a.median_ms)),
+                                ("layer", Json::str(k.layer)),
+                                ("kernel", Json::str(k.kernel)),
+                                ("units", Json::Int(k.units as i64)),
+                                ("median_ms", Json::Float(k.median_ms)),
+                                ("ns_per_unit", Json::Float(k.ns_per_unit)),
                             ])
                         })
                         .collect(),
@@ -592,45 +519,20 @@ impl BenchTrajectory {
             ]);
         }
         out.push_str(&sweeps.to_markdown());
-        if !self.queues.is_empty() {
+        if !self.kernels.is_empty() {
             out.push('\n');
-            let mut queues = Table::new(["queue", "events", "median", "per event"])
-                .captioned("Event-queue microbench (hold model)");
-            for q in &self.queues {
-                queues.row([
-                    q.queue.to_string(),
-                    q.events.to_string(),
-                    format!("{:.1} ms", q.median_ms),
-                    format!("{:.1} ns", q.per_event_ns),
+            let mut kernels = Table::new(["layer", "kernel", "units", "median", "per unit"])
+                .captioned("Kernel microbenches");
+            for k in &self.kernels {
+                kernels.row([
+                    k.layer.to_string(),
+                    k.kernel.to_string(),
+                    k.units.to_string(),
+                    format!("{:.1} ms", k.median_ms),
+                    format!("{:.1} ns", k.ns_per_unit),
                 ]);
             }
-            out.push_str(&queues.to_markdown());
-        }
-        if !self.probes.is_empty() {
-            out.push('\n');
-            let mut probes = Table::new(["probe", "events", "median"])
-                .captioned("Probe overhead (DES cluster step)");
-            for p in &self.probes {
-                probes.row([
-                    p.probe.to_string(),
-                    p.events.to_string(),
-                    format!("{:.1} ms", p.median_ms),
-                ]);
-            }
-            out.push_str(&probes.to_markdown());
-        }
-        if !self.attacks.is_empty() {
-            out.push('\n');
-            let mut attacks = Table::new(["stage", "events", "median"])
-                .captioned("Adversary analysis (fixed recorded trace)");
-            for a in &self.attacks {
-                attacks.row([
-                    a.stage.to_string(),
-                    a.events.to_string(),
-                    format!("{:.1} ms", a.median_ms),
-                ]);
-            }
-            out.push_str(&attacks.to_markdown());
+            out.push_str(&kernels.to_markdown());
         }
         out
     }
@@ -667,14 +569,12 @@ mod tests {
             seed: 42,
             artifacts: vec![],
             sweeps: vec![],
-            queues: vec![],
-            probes: vec![],
-            attacks: vec![],
+            kernels: vec![],
         };
         assert_eq!(t.file_name(), "BENCH_abc123.json");
         let json = t.to_json().to_string();
         assert!(crate::json::is_well_formed(&json), "{json}");
-        assert!(json.contains("\"schema\":\"tensortee-bench/v1\""));
+        assert!(json.contains("\"schema\":\"tensortee-bench/v2\""));
     }
 
     #[test]
@@ -688,21 +588,27 @@ mod tests {
         assert_eq!(a, b, "checksums diverge: calendar and heap disagree");
     }
 
+    /// One timed repetition, no warmup: the unit tests check structure,
+    /// not speed.
+    const ONCE: BenchOptions = BenchOptions {
+        repeats: 1,
+        warmup: 0,
+        progress: false,
+    };
+
+    /// The `(layer, kernel)` names of `rows`, in order.
+    fn names(rows: &[KernelTiming]) -> Vec<(&'static str, &'static str)> {
+        rows.iter().map(|k| (k.layer, k.kernel)).collect()
+    }
+
     #[test]
     fn queue_bench_meets_the_event_floor() {
         const { assert!(QUEUE_BENCH_EVENTS >= 1_000_000) };
-        let opts = BenchOptions {
-            repeats: 1,
-            warmup: 0,
-            progress: false,
-        };
-        let timings = measure_queues(&opts);
-        assert_eq!(timings.len(), 2);
-        assert_eq!(timings[0].queue, "calendar");
-        assert_eq!(timings[1].queue, "heap");
-        for t in &timings {
-            assert_eq!(t.events, QUEUE_BENCH_EVENTS);
-            assert!(t.median_ms > 0.0 && t.per_event_ns > 0.0);
+        let rows = queue_kernels(&ONCE);
+        assert_eq!(names(&rows), [("sim", "calendar"), ("sim", "heap")]);
+        for k in &rows {
+            assert_eq!(k.units, QUEUE_BENCH_EVENTS);
+            assert!(k.median_ms > 0.0 && k.ns_per_unit > 0.0, "{}", k.kernel);
         }
     }
 
@@ -710,38 +616,44 @@ mod tests {
     fn probe_bench_records_events_only_when_tracing() {
         let mut ctx = RunContext::fast();
         ctx.cluster_sizes = vec![1, 2];
-        let opts = BenchOptions {
-            repeats: 1,
-            warmup: 0,
-            progress: false,
-        };
-        let timings = measure_probes(&ctx, &opts);
-        assert_eq!(timings.len(), 2);
-        assert_eq!(timings[0].probe, "null");
-        assert_eq!(timings[1].probe, "trace");
-        assert_eq!(timings[0].events, 0, "null probe must record nothing");
-        assert!(timings[1].events > 0, "trace probe recorded nothing");
-        for t in &timings {
-            assert!(t.median_ms >= 0.0 && t.median_ms.is_finite());
+        let null = SharedProbe::Null;
+        probe_workload(&ctx)(&null);
+        assert!(null.snapshot().is_none(), "null probe must record nothing");
+
+        let rows = probe_kernels(&ctx, &ONCE);
+        assert_eq!(
+            names(&rows),
+            [("sim", "probe_null"), ("sim", "probe_trace")]
+        );
+        assert!(rows[0].units > 0, "trace probe recorded nothing");
+        assert_eq!(rows[0].units, rows[1].units);
+        for k in &rows {
+            assert!(
+                k.median_ms >= 0.0 && k.ns_per_unit.is_finite(),
+                "{}",
+                k.kernel
+            );
         }
     }
 
     #[test]
     fn attack_bench_times_each_stage_on_frozen_inputs() {
-        let ctx = RunContext::fast();
-        let opts = BenchOptions {
-            repeats: 1,
-            warmup: 0,
-            progress: false,
-        };
-        let timings = measure_attacks(&ctx, &opts);
-        assert_eq!(timings.len(), 3);
-        assert_eq!(timings[0].stage, "observe");
-        assert_eq!(timings[1].stage, "traffic");
-        assert_eq!(timings[2].stage, "residency");
-        for t in &timings {
-            assert!(t.events > 0, "{} analyzed nothing", t.stage);
-            assert!(t.median_ms >= 0.0 && t.median_ms.is_finite());
+        let rows = attack_kernels(&RunContext::fast(), &ONCE);
+        assert_eq!(
+            names(&rows),
+            [
+                ("attack", "observe"),
+                ("attack", "traffic"),
+                ("attack", "residency")
+            ]
+        );
+        for k in &rows {
+            assert!(k.units > 0, "{} analyzed nothing", k.kernel);
+            assert!(
+                k.median_ms >= 0.0 && k.ns_per_unit.is_finite(),
+                "{}",
+                k.kernel
+            );
         }
     }
 

@@ -3,9 +3,8 @@
 //! value type the artifact registry returns.
 //!
 //! A [`Report`] carries named scalar metrics, typed [`Table`]s and
-//! free-form notes; it renders to the same markdown the benches have
-//! always printed and — because the vendored `serde` is a no-op — to JSON
-//! via the hand-rolled writer in [`crate::json`].
+//! free-form notes; it renders to markdown for the CLI and to JSON via
+//! the hand-rolled writer in [`crate::json`].
 
 use crate::json::Json;
 use tee_sim::Time;

@@ -1,11 +1,10 @@
 //! CPU-side configuration (Table 1) and derived latencies.
 
-use serde::{Deserialize, Serialize};
 use tee_mem::{DramConfig, HierarchyConfig};
 use tee_sim::ClockDomain;
 
 /// Static configuration of the simulated CPU socket.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CpuConfig {
     /// Core frequency in GHz (Table 1: 3.5 GHz).
     pub freq_ghz: f64,

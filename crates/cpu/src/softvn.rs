@@ -8,11 +8,10 @@
 //! exhausting the table ("wastage of entries").
 
 use crate::tensor::TensorDesc;
-use serde::{Deserialize, Serialize};
 use tee_sim::StatSet;
 
 /// SoftVN configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SoftVnConfig {
     /// VN-table capacity in entries.
     pub entries: usize,

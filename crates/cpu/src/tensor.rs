@@ -1,6 +1,5 @@
 //! Tensor descriptors shared by kernels and TEE engines.
 
-use serde::{Deserialize, Serialize};
 use tee_mem::LINE_BYTES;
 
 /// A dense tensor in virtual memory.
@@ -13,7 +12,7 @@ use tee_mem::LINE_BYTES;
 /// assert_eq!(t.lines(), 64);
 /// assert!(t.contains(0x10000 + 100));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TensorDesc {
     /// Base virtual address (line-aligned).
     pub base: u64,

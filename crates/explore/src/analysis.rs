@@ -7,10 +7,9 @@
 //! sampled points.
 
 use crate::space::{Point, Space};
-use serde::Serialize;
 
 /// The optimization direction of one objective.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sense {
     /// Bigger is better (throughput).
     Maximize,
@@ -92,7 +91,7 @@ pub fn dominator_of(i: usize, objectives: &[Vec<f64>], senses: &[Sense]) -> Opti
 
 /// One bar of a tornado chart: the swing a single knob induces on an
 /// objective while every other knob is held at the baseline.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TornadoRow {
     /// The knob.
     pub knob: &'static str,

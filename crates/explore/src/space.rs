@@ -9,12 +9,11 @@
 //! is a pure function of `(space, n, seed)`, so a sampling plan is
 //! reproducible across runs, machines and worker-thread counts.
 
-use serde::Serialize;
 use tee_sim::SplitMix64;
 
 /// One selectable setting of a knob: a display label plus the numeric
 /// value the evaluator decodes.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Level {
     /// Display label (`"GPT2-M"`, `"32 GB/s"`, …).
     pub label: String,
@@ -23,7 +22,7 @@ pub struct Level {
 }
 
 /// A named design-space dimension with its discrete levels.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Knob {
     /// Display name (`"model"`, `"PCIe GB/s"`, …).
     pub name: &'static str,
@@ -90,7 +89,7 @@ fn fmt_value(v: f64) -> String {
 }
 
 /// One concrete configuration: a level index per knob, in knob order.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Point(Vec<usize>);
 
 impl Point {
@@ -120,7 +119,7 @@ impl Point {
 /// assert_eq!(points.len(), 4);
 /// assert_eq!(points, space.sample(4, 42), "sampling is deterministic");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Space {
     knobs: Vec<Knob>,
 }

@@ -2,12 +2,11 @@
 //! sessions, how deep the admission queues are, when the fleet scales,
 //! and what a KV-cache handoff costs.
 
-use serde::Serialize;
 use tee_serve::ServeConfig;
 use tee_sim::Time;
 
 /// Placement policy the router runs for every arriving turn.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
     /// Rotate over routable instances regardless of load or KV locality.
     RoundRobin,
@@ -46,7 +45,7 @@ impl Policy {
 /// its outstanding work, stops receiving new) and parks, evicting its
 /// session KV to CPU DRAM; a scaled-up instance pays `cold_start` before
 /// it becomes routable.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscaleConfig {
     /// Sampling period of the control loop.
     pub interval: Time,
@@ -71,7 +70,7 @@ impl Default for AutoscaleConfig {
 }
 
 /// Static configuration of one fleet run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Per-instance serving configuration (NPU shape, batching knobs).
     pub serve: ServeConfig,

@@ -14,18 +14,17 @@
 //!                                          //   per-context-token KV stream
 //! ```
 //!
-//! with the same fused-iteration layer shape as the serve scheduler (the
-//! AMLA-style memory-bound decode kernel). The fit is a pure function of
-//! the probe timings, so the surrogate is exactly as deterministic as
+//! The probes are the serve scheduler's own fused-iteration kernel
+//! ([`tee_serve::iteration_layer`], the AMLA-style memory-bound decode
+//! kernel). The fit is a pure function of the probe timings, so the surrogate is exactly as deterministic as
 //! the engine, and per-iteration pricing is O(batch) integer/float
 //! arithmetic instead of a pipeline simulation.
 
-use tee_npu::engine::{Layer, NpuEngine};
+use tee_npu::engine::NpuEngine;
 use tee_serve::config::SecurityProfile;
+use tee_serve::iteration_layer;
 use tee_sim::Time;
 use tee_workloads::zoo::ModelConfig;
-
-const FP16: u64 = 2;
 
 /// Probe prompt length for the prefill fit (the quadratic term is solved
 /// from probes at `P` and `2P`).
@@ -97,30 +96,6 @@ impl IterCost {
     }
 }
 
-/// The fused-iteration layer shape — mirrors the serve scheduler's
-/// kernel: weights stream once, prefills add per-request quadratic
-/// attention, decodes add memory-bound KV streaming.
-fn iteration_layer(model: &ModelConfig, prefill_prompts: &[u64], decode_ctxs: &[u64]) -> Layer {
-    let h = model.hidden;
-    let layers = model.layers;
-    let weight_bytes = 12 * h * h * FP16 * layers;
-    let r = decode_ctxs.len() as u64;
-    let ctx_sum: u64 = decode_ctxs.iter().sum();
-    let p: u64 = prefill_prompts.iter().sum();
-    let prefill_attn: u64 = prefill_prompts.iter().map(|&pi| pi * pi * 2 * h).sum();
-    let macs =
-        layers * (r * 12 * h * h + ctx_sum * 2 * h) + layers * (p * 12 * h * h + prefill_attn);
-    let kv_per_layer = 2 * h * FP16;
-    let in_bytes = ctx_sum * kv_per_layer * layers + r * h * FP16 * layers + p * h * FP16 * layers;
-    let out_bytes = (r + p) * h * FP16 * layers + (r + p) * kv_per_layer * layers;
-    Layer {
-        macs: macs.max(1),
-        in_bytes,
-        w_bytes: weight_bytes,
-        out_bytes,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,25 +138,60 @@ mod tests {
         assert!(work(&sgx) >= work(&ns), "{} vs {}", work(&sgx), work(&ns));
     }
 
-    #[test]
-    fn surrogate_tracks_engine_within_tolerance() {
-        // The surrogate must stay close to the engine on a mixed batch it
-        // was not calibrated on — this is a model, not an oracle, but a
-        // 25% band keeps it honest.
-        let model = by_name("GPT").unwrap();
-        let profile = SecurityProfile::tensor_tee();
-        let c = IterCost::calibrate(&model, &profile);
+    /// Relative error of the surrogate against the engine on one batch.
+    fn surrogate_error(
+        model: &ModelConfig,
+        profile: &SecurityProfile,
+        prefills: &[u64],
+        decodes: &[u64],
+    ) -> f64 {
+        let c = IterCost::calibrate(model, profile);
         let engine = NpuEngine::new(tee_npu::NpuConfig::default(), profile.mac);
-        let prefills = [300u64, 700];
-        let decodes = [100u64, 400, 900, 1600];
         let exact = engine
-            .run(&[iteration_layer(&model, &prefills, &decodes)])
+            .run(&[iteration_layer(model, prefills, decodes)])
             .total
             .as_ps() as f64;
         let approx = c
-            .iteration(&prefills, decodes.len() as u64, decodes.iter().sum())
+            .iteration(prefills, decodes.len() as u64, decodes.iter().sum())
             .as_ps() as f64;
-        let err = (approx - exact).abs() / exact;
-        assert!(err < 0.25, "surrogate off by {:.1}%", err * 100.0);
+        (approx - exact).abs() / exact
+    }
+
+    #[test]
+    fn surrogate_tracks_engine_within_tolerance() {
+        // The surrogate must stay close to the engine on batches it was
+        // not calibrated on. Measured worst case over this table: 12.48%
+        // (GPT, non-secure, the lone 4000-token prefill, where the fitted
+        // quadratic extrapolates furthest from its 512/1024-token probes);
+        // 11.06% on GPT2-M. Every decode-only and mixed batch is exact.
+        // The 15% bound leaves a 2.5-point margin over the worst case.
+        const BOUND: f64 = 0.15;
+        let batches: [(&[u64], &[u64]); 6] = [
+            (&[], &[]),
+            (&[4000], &[]),
+            (&[], &[1; 32]),
+            (&[300, 700], &[100, 400, 900, 1600]),
+            (&[], &[16_384]),
+            (&[128; 8], &[2048; 16]),
+        ];
+        for name in ["GPT", "GPT2-M"] {
+            let model = by_name(name).unwrap();
+            for profile in [
+                SecurityProfile::non_secure(),
+                SecurityProfile::sgx_mgx(),
+                SecurityProfile::tensor_tee(),
+            ] {
+                for (prefills, decodes) in batches {
+                    let err = surrogate_error(&model, &profile, prefills, decodes);
+                    assert!(
+                        err < BOUND,
+                        "{name} {:?} prefills {prefills:?} + {} decodes: surrogate off by {:.1}%",
+                        profile.mac,
+                        decodes.len(),
+                        err * 100.0
+                    );
+                }
+            }
+        }
     }
 }

@@ -6,7 +6,6 @@
 //! [`PageMapper`] reproduces that scattering deterministically so the
 //! memory controller sees realistic discontinuous physical traffic.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use tee_sim::SplitMix64;
 
@@ -29,7 +28,7 @@ pub const PAGE_BYTES: u64 = 4096;
 /// let next_page = m.translate(0x1000 + PAGE_BYTES);
 /// assert_ne!(next_page, pa1 + PAGE_BYTES);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PageMapper {
     table: HashMap<u64, u64>,
     rng: SplitMix64,

@@ -6,11 +6,10 @@
 //! Figures 3 and 19 comes from. Request data payloads are not stored here —
 //! the functional ciphertext lives in [`crate::store::PhysMem`].
 
-use serde::{Deserialize, Serialize};
 use tee_sim::StatSet;
 
 /// Geometry of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -199,7 +198,7 @@ impl Cache {
 }
 
 /// Geometry of the Table-1 three-level hierarchy.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct HierarchyConfig {
     /// Number of cores (private L1/L2 pairs).
     pub cores: u32,

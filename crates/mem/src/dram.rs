@@ -11,11 +11,10 @@
 //!    itself runs near peak bandwidth.
 
 use crate::LINE_BYTES;
-use serde::{Deserialize, Serialize};
 use tee_sim::{BandwidthResource, StatSet, Time};
 
 /// Static DRAM geometry and timing.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DramConfig {
     /// Independent channels.
     pub channels: u32,

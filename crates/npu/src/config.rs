@@ -1,12 +1,11 @@
 //! NPU configuration (Table 1).
 
-use serde::{Deserialize, Serialize};
 use tee_mem::DramConfig;
 use tee_sim::ClockDomain;
 
 /// Static configuration of the simulated discrete NPU (TPUv3-like,
 /// output-stationary dataflow, §5.1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NpuConfig {
     /// Core frequency in GHz (Table 1: 1 GHz).
     pub freq_ghz: f64,

@@ -8,11 +8,10 @@
 use crate::config::NpuConfig;
 use crate::mac::MacScheme;
 use crate::pipeline::{simulate_stream, StreamTiming};
-use serde::{Deserialize, Serialize};
 use tee_sim::Time;
 
 /// One NPU-executed layer (or fused group).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Layer {
     /// Multiply-accumulate operations.
     pub macs: u64,

@@ -10,14 +10,13 @@
 //!   per tensor on-chip (§6.5) and removes the stall by verifying in
 //!   parallel with computation.
 
-use serde::{Deserialize, Serialize};
 use tee_mem::LINE_BYTES;
 
 /// Bytes of MAC tag per protected block (56-bit tag padded to 8 B).
 pub const MAC_TAG_BYTES: u64 = 8;
 
 /// A MAC management scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MacScheme {
     /// No integrity protection (non-secure reference).
     None,

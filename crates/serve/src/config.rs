@@ -2,7 +2,6 @@
 //! knobs, the KV-cache HBM budget, and the per-mode security profile
 //! (MAC scheme + KV transfer protocol).
 
-use serde::Serialize;
 use tee_comm::link::PcieLink;
 use tee_comm::protocol::{DirectProtocol, StagingProtocol};
 use tee_mem::DramConfig;
@@ -11,7 +10,7 @@ use tee_sim::Time;
 use tee_workloads::zoo::ModelConfig;
 
 /// Static configuration of the serving system.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// The NPU executing prefill and decode iterations (Table 1 shape).
     pub npu: NpuConfig,
@@ -54,7 +53,7 @@ impl ServeConfig {
 }
 
 /// Per-token KV-cache footprint of a model (K and V, all layers, fp16).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KvSpec {
     /// KV bytes appended per generated/prefilled token.
     pub bytes_per_token: u64,
@@ -81,7 +80,7 @@ impl KvSpec {
 /// (§3.3 vs §4.4): the staging protocol re-encrypts at both edges and
 /// serializes against compute, the direct protocol is a DMA plus one
 /// trusted metadata packet and overlaps compute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KvProtocol {
     /// Plain DMA (non-secure reference).
     Plain,
@@ -129,7 +128,7 @@ impl KvProtocol {
 
 /// One serving security mode: the NPU MAC-granularity scheme pricing
 /// every prefill/decode stream plus the KV offload transfer protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SecurityProfile {
     /// Display label (matches the training-side mode labels).
     pub label: &'static str,

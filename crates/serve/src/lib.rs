@@ -40,7 +40,7 @@ pub mod trace;
 pub use config::{KvProtocol, KvSpec, SecurityProfile, ServeConfig};
 pub use kv::{KvPool, Residency};
 pub use report::ServeReport;
-pub use scheduler::{simulate, simulate_probed};
+pub use scheduler::{iteration_layer, simulate, simulate_probed};
 pub use trace::{
     ArrivalProcess, Diurnal, Request, SessionRequest, SessionTraceConfig, TraceConfig,
 };

@@ -343,8 +343,9 @@ fn finish_iteration(
 /// Weights stream once; decode attention streams each request's cached
 /// KV (memory-bound — the AMLA analysis shows decode attention is
 /// dominated by rescaling/streaming, not multiplies) and appends one
-/// token of KV per request.
-fn iteration_layer(model: &ModelConfig, prefill_prompts: &[u64], decode_ctxs: &[u64]) -> Layer {
+/// token of KV per request. The fleet's `IterCost` surrogate calibrates
+/// against this same kernel.
+pub fn iteration_layer(model: &ModelConfig, prefill_prompts: &[u64], decode_ctxs: &[u64]) -> Layer {
     let h = model.hidden;
     let layers = model.layers;
     let weight_bytes = 12 * h * h * FP16 * layers;

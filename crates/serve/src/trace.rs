@@ -6,11 +6,10 @@
 //! byte-reproducible: the same [`TraceConfig`] always generates the same
 //! request sequence (the registry's repeat-run invariant depends on it).
 
-use serde::Serialize;
 use tee_sim::{SplitMix64, Time};
 
 /// One inference request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
     /// Stable id (index into the trace).
     pub id: u32,
@@ -31,7 +30,7 @@ impl Request {
 }
 
 /// The arrival process shaping inter-arrival gaps.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// Poisson arrivals: exponential inter-arrival gaps at `rate_rps`
     /// requests per second.
@@ -70,7 +69,7 @@ impl ArrivalProcess {
 }
 
 /// A deterministic trace specification.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceConfig {
     /// Number of requests in the trace.
     pub n_requests: u32,
@@ -181,7 +180,7 @@ fn sample_len(rng: &mut SplitMix64, mean: u64, floor: u64) -> u64 {
 /// A triangle (rather than a sine) keeps the multiplier pure integer-free
 /// arithmetic on the phase — no transcendental library calls whose last
 /// bit could differ across platforms.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Diurnal {
     /// Length of one day in simulated seconds (compressed days are fine —
     /// only the ratio to the trace span matters).
@@ -230,7 +229,7 @@ impl Diurnal {
 /// One turn of a multi-tenant chat session: a [`Request`] plus the
 /// session bookkeeping a KV-aware router needs (who owns it, which turn
 /// it is, and how much KV context earlier turns already accumulated).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionRequest {
     /// The underlying request (id is the index in arrival order).
     pub request: Request,
@@ -258,7 +257,7 @@ impl SessionRequest {
 /// exponential think times, with all per-session draws taken from its
 /// tenant's private [`SplitMix64::split`] sub-stream — so adding a tenant
 /// or resizing one tenant's mix never shifts another tenant's trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionTraceConfig {
     /// Total requests (turns) in the trace; sessions whose later turns
     /// fall past the cut are truncated, never reordered.

@@ -10,7 +10,6 @@
 //!   times (used by the end-to-end scheduler for DRAM bandwidth shares).
 
 use crate::clock::Time;
-use serde::{Deserialize, Serialize};
 
 /// A serially-occupied resource with a fixed byte bandwidth and an optional
 /// fixed per-request latency (e.g. AES pipeline fill, PCIe packet setup).
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// // 64 B at 8 GB/s = 8 ns occupancy + 40 ns latency on delivery.
 /// assert_eq!(grant.done.as_ns_f64().round(), 48.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BandwidthResource {
     bytes_per_sec: f64,
     fixed_latency: Time,
@@ -142,7 +141,7 @@ impl BandwidthResource {
 /// let shared = pipe.transfer_time(1 << 30, 2);
 /// assert!((shared.as_secs_f64() / solo.as_secs_f64() - 2.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ThroughputPipe {
     bytes_per_sec: f64,
 }

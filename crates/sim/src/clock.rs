@@ -4,7 +4,6 @@
 //! that the 3.5 GHz CPU, the 1 GHz NPU and the PCIe link can be composed
 //! without accumulating rounding error at domain crossings.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
@@ -23,9 +22,7 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 /// assert_eq!(t.as_ps(), 3_500);
 /// assert!(t < Time::from_us(1));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Time(u64);
 
 impl Time {
@@ -200,7 +197,7 @@ impl fmt::Display for Time {
 /// let npu = ClockDomain::from_ghz(1.0);
 /// assert_eq!(npu.cycles_to_time(40).as_ns_f64(), 40.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClockDomain {
     /// Picoseconds per cycle.
     period_ps: f64,

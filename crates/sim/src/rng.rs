@@ -5,8 +5,6 @@
 //! SplitMix64 is tiny, fast, and has a well-known reference output we test
 //! against.
 
-use serde::{Deserialize, Serialize};
-
 /// SplitMix64 PRNG (Steele, Lea, Flood 2014 — the `java.util.SplittableRandom`
 /// finalizer). Deterministic for a given seed.
 ///
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// let mut b = SplitMix64::new(42);
 /// assert_eq!(a.next_u64(), b.next_u64());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,
 }

@@ -3,7 +3,6 @@
 //! Every figure in the paper is regenerated from these primitives, so they
 //! favour exactness (integer counters) over sampling.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -18,7 +17,7 @@ use std::fmt;
 /// hits.incr();
 /// assert_eq!(hits.get(), 4);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter(u64);
 
 impl Counter {
@@ -80,7 +79,7 @@ impl fmt::Display for Counter {
 /// assert_eq!(h.min(), Some(1));
 /// assert_eq!(h.max(), Some(4));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Histogram {
     count: u64,
     sum: u128,
@@ -230,7 +229,7 @@ impl Histogram {
 /// assert_eq!(s.get("hit_in"), 2);
 /// assert_eq!(s.get("absent"), 0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatSet {
     name: String,
     counters: BTreeMap<String, Counter>,

@@ -6,11 +6,10 @@
 //! traces without depending on each other.
 
 use crate::clock::Time;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The direction/type of one memory request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// Data load.
     Read,
@@ -49,7 +48,7 @@ impl fmt::Display for AccessKind {
 /// Addresses are *virtual* — the paper's TenAnalyzer observes the core's VA
 /// stream precisely because physical contiguity is broken by paging
 /// (Figure 9). Translation to physical addresses happens inside `tee-mem`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemAccess {
     /// Virtual byte address (cacheline-aligned by producers).
     pub vaddr: u64,
@@ -95,7 +94,7 @@ impl MemAccess {
 }
 
 /// A timestamped trace event, for recorded replays and debugging dumps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// When the request was issued.
     pub at: Time,
@@ -118,7 +117,7 @@ pub struct TraceEvent {
 /// assert_eq!(log.reads(), 1);
 /// assert_eq!(log.writes(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceLog {
     events: Vec<TraceEvent>,
 }

@@ -6,10 +6,9 @@
 //! tensor-granularity metadata viable on-chip (512 Meta Table entries).
 
 use crate::zoo::ModelConfig;
-use serde::Serialize;
 
 /// One named parameter tensor (fp32 master copy on the CPU).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TensorInfo {
     /// Diagnostic name ("layer3.mlp.fc1").
     pub name: String,
@@ -18,7 +17,7 @@ pub struct TensorInfo {
 }
 
 /// The census result for one model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TensorCensus {
     /// Model name.
     pub model: &'static str,

@@ -4,10 +4,9 @@
 //! crate converts [`LayerSpec`] into the NPU engine's layer type.
 
 use crate::zoo::ModelConfig;
-use serde::{Deserialize, Serialize};
 
 /// One NPU-executed layer (fp16 elements).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerSpec {
     /// Diagnostic kind.
     pub kind: LayerKind,
@@ -22,7 +21,7 @@ pub struct LayerSpec {
 }
 
 /// Layer categories.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LayerKind {
     /// Dense GEMM (projections, MLP).
     Gemm,

@@ -10,10 +10,9 @@
 use crate::census::TensorCensus;
 use crate::layers::{training_step, LayerSpec};
 use crate::zoo::ModelConfig;
-use serde::Serialize;
 
 /// Everything needed to simulate one training step of one model.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct StepSchedule {
     /// The model.
     pub model: ModelConfig,

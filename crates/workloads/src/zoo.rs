@@ -1,12 +1,10 @@
 //! The Table-2 model zoo.
 
-use serde::Serialize;
-
 /// Vocabulary size used for embedding accounting (GPT-2 BPE).
 pub const VOCAB: u64 = 50_257;
 
 /// One evaluated model (a row of Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModelConfig {
     /// Display name.
     pub name: &'static str,

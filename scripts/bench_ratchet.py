@@ -9,8 +9,9 @@ Policy (documented in EXPERIMENTS.md, "Perf trajectory"):
 * the two files must share the schema tag and the measurement profile
   (fast/full) — otherwise the comparison is meaningless and the ratchet
   fails;
-* every artifact and sweep present in the baseline must be present in
-  the fresh run (an artifact disappearing is a regression in coverage);
+* every artifact, sweep and kernel present in the baseline must be
+  present in the fresh run (an entry disappearing is a regression in
+  coverage); kernels are keyed on ``(layer, kernel)``;
 * a fresh median above ``baseline * (1 + tolerance) + slack_ms`` fails
   the ratchet (default: +25% and 5 ms). The absolute slack term keeps
   sub-millisecond artifacts — whose medians are mostly timer jitter —
@@ -36,16 +37,17 @@ def load(path):
     return doc
 
 
-def compare(kind, key, base_entries, fresh_entries, field, tolerance, slack_ms):
-    """Yields (failure, message) per baseline entry of one section."""
-    fresh_by_key = {e[key]: e for e in fresh_entries}
+def compare(kind, key, base_entries, fresh_entries, tolerance, slack_ms):
+    """Yields (failure, message) per baseline entry of one section, comparing
+    ``median_ms``; ``key`` maps an entry to its display name."""
+    fresh_by_key = {key(e): e for e in fresh_entries}
     for entry in base_entries:
-        name = entry[key]
+        name = key(entry)
         fresh = fresh_by_key.get(name)
         if fresh is None:
             yield True, f"{kind} {name}: missing from the fresh run"
             continue
-        base_v, fresh_v = entry[field], fresh[field]
+        base_v, fresh_v = entry["median_ms"], fresh["median_ms"]
         delta = (fresh_v / base_v - 1.0) * 100 if base_v > 0.0 else float("inf")
         line = f"{kind} {name}: {base_v:.2f} -> {fresh_v:.2f} ms ({delta:+.0f}%)"
         if fresh_v > base_v * (1.0 + tolerance) + slack_ms:
@@ -86,39 +88,18 @@ def main():
                 f"{fresh.get(field)!r} — runs are not comparable"
             )
     if not failures:
-        checks = list(
-            compare(
-                "artifact", "id", base["artifacts"], fresh["artifacts"],
-                "median_ms", args.tolerance, args.slack_ms,
+        sections = [
+            ("artifact", lambda e: e["id"], "artifacts"),
+            ("sweep", lambda e: e["scenario"], "sweeps"),
+            ("kernel", lambda e: f"{e['layer']}/{e['kernel']}", "kernels"),
+        ]
+        checks = [
+            check
+            for kind, key, section in sections
+            for check in compare(
+                kind, key, base[section], fresh[section], args.tolerance, args.slack_ms
             )
-        ) + list(
-            compare(
-                "sweep", "scenario", base["sweeps"], fresh["sweeps"],
-                "median_ms", args.tolerance, args.slack_ms,
-            )
-        ) + list(
-            # The event-queue microbench section (absent from baselines
-            # written before it existed — new entries enter the ratchet
-            # at the next re-baseline, same as new artifacts).
-            compare(
-                "queue", "queue", base.get("queues", []), fresh.get("queues", []),
-                "median_ms", args.tolerance, args.slack_ms,
-            )
-        ) + list(
-            # The probe-overhead microbench: the "null" row ratchets the
-            # zero-overhead-when-off claim for the observability layer.
-            compare(
-                "probe", "probe", base.get("probes", []), fresh.get("probes", []),
-                "median_ms", args.tolerance, args.slack_ms,
-            )
-        ) + list(
-            # The adversary-analysis microbench: tee-attack stages on a
-            # fixed recorded trace.
-            compare(
-                "attack", "stage", base.get("attacks", []), fresh.get("attacks", []),
-                "median_ms", args.tolerance, args.slack_ms,
-            )
-        )
+        ]
         for failed, message in checks:
             print(message)
             if failed:
@@ -132,9 +113,7 @@ def main():
         return 1
     print(
         f"ratchet OK: {len(base['artifacts'])} artifacts + {len(base['sweeps'])} sweeps "
-        f"+ {len(base.get('queues', []))} queues + {len(base.get('probes', []))} probes "
-        f"+ {len(base.get('attacks', []))} attack stages "
-        f"within +{args.tolerance:.0%} of {base.get('rev', '?')}"
+        f"+ {len(base['kernels'])} kernels within +{args.tolerance:.0%} of {base.get('rev', '?')}"
     )
     return 0
 

@@ -47,9 +47,10 @@ commands:
                                 write a Chrome/Perfetto trace-event JSON
                                 (default trace_<id>.json; load it at
                                 ui.perfetto.dev or chrome://tracing)
-  bench [flags]                 time every artifact + the explore sweeps;
-                                writes BENCH_<rev>.json (or, with --json,
-                                prints the same shape to stdout)
+  bench [flags]                 time every artifact, explore sweep and
+                                kernel microbench; writes BENCH_<rev>.json
+                                (or, with --json, prints the same shape
+                                to stdout)
 
 flags:
   --json         emit machine-readable JSON instead of markdown

@@ -2,7 +2,8 @@
 //! contract):
 //!
 //! * the JSON shape is well-formed per the hand-rolled `tensortee::json`
-//!   validator and carries one entry per registry artifact (floor ≥ 28),
+//!   validator and carries one entry per registry artifact (floor ≥ 28)
+//!   plus the pinned list of kernel microbench rows,
 //! * timings are the *only* floats — masking every `Json::Float` makes
 //!   two independent measurements byte-identical (what lets the CI
 //!   ratchet compare structure strictly and timings with a tolerance).
@@ -68,27 +69,29 @@ fn trajectory_covers_the_registry_and_differs_only_in_timings() {
         assert!(sweep.evaluations >= sweep.points, "{}", sweep.scenario);
         assert!(sweep.per_point_us >= 0.0);
     }
-    // The event-queue microbench: calendar then its heap reference, both
-    // over the ≥ 10^6-event hold-model workload.
-    let queues: Vec<&str> = first.queues.iter().map(|q| q.queue).collect();
-    assert_eq!(queues, ["calendar", "heap"]);
-    for q in &first.queues {
-        assert!(q.events >= 1_000_000, "{}: {}", q.queue, q.events);
-        assert!(q.median_ms > 0.0 && q.per_event_ns > 0.0, "{}", q.queue);
+    // The kernel microbenches, pinned in row order: the calendar queue
+    // then its heap reference, the probe-overhead pair, then the
+    // tee-attack stages. Every row prices a non-empty unit count.
+    let kernels: Vec<(&str, &str)> = first.kernels.iter().map(|k| (k.layer, k.kernel)).collect();
+    assert_eq!(
+        kernels,
+        [
+            ("sim", "calendar"),
+            ("sim", "heap"),
+            ("sim", "probe_null"),
+            ("sim", "probe_trace"),
+            ("attack", "observe"),
+            ("attack", "traffic"),
+            ("attack", "residency"),
+        ]
+    );
+    for k in &first.kernels {
+        assert!(k.units > 0, "{}/{}: no units", k.layer, k.kernel);
+        assert!(k.ns_per_unit.is_finite(), "{}/{}", k.layer, k.kernel);
     }
-    // The probe-overhead microbench: tracing off, then recording; only
-    // the recording row carries events (the null row pins zero-when-off).
-    let probes: Vec<&str> = first.probes.iter().map(|p| p.probe).collect();
-    assert_eq!(probes, ["null", "trace"]);
-    assert_eq!(first.probes[0].events, 0);
-    assert!(first.probes[1].events > 0);
-    // The adversary-analysis microbench: the tee-attack stages, each
-    // fed a non-empty frozen input.
-    let attacks: Vec<&str> = first.attacks.iter().map(|a| a.stage).collect();
-    assert_eq!(attacks, ["observe", "traffic", "residency"]);
-    for a in &first.attacks {
-        assert!(a.events > 0, "{}: nothing to analyze", a.stage);
-        assert!(a.median_ms >= 0.0 && a.median_ms.is_finite(), "{}", a.stage);
+    // Both queues churn the ≥ 10^6-event hold-model workload.
+    for k in &first.kernels[..2] {
+        assert!(k.units >= 1_000_000, "{}: {}", k.kernel, k.units);
     }
 
     // Well-formed per the hand-rolled validator, schema-tagged.
