@@ -15,7 +15,7 @@
 //! thread pool — the artifacts are byte-identical across `--threads`.
 
 use crate::artifact::{find, RunContext};
-use crate::experiments::{fleet_setup, serve_profile};
+use crate::experiments::{fleet_setup, serve_profile, serve_setup};
 use crate::obs::replay;
 use crate::report::{f2, pct, Report, Table};
 use tee_attack::{
@@ -29,28 +29,20 @@ use tee_sim::probe::{SharedProbe, TraceProbe};
 use tee_sim::{SplitMix64, Time};
 use tee_workloads::zoo::ModelConfig;
 
-/// The adversary's serving setup for one model: the context's Poisson
-/// shape at 4x the base rate against a tight KV budget (~500 tokens,
-/// the scheduler tests' spill-forcing idiom), so KV offload/fetch
-/// traffic keeps the link busy and the adversary has a channel to
-/// read. Mirrors `explore::eval_attack`.
-fn attack_serve_setup(
+/// The adversary's serving setup for one model: the shared serving
+/// traffic at `rate` against a tight KV budget (~500 tokens, the
+/// scheduler tests' spill-forcing idiom), so KV offload/fetch traffic
+/// keeps the link busy and the adversary has a channel to read. Shared
+/// with `explore::eval_attack`.
+pub(crate) fn attack_serve_setup(
     ctx: &RunContext,
     model: &ModelConfig,
+    rate: f64,
     seed: u64,
 ) -> (ServeConfig, TraceConfig) {
-    let mut trace = TraceConfig::poisson(ctx.serve_requests, ctx.serve_rate_rps * 4.0, seed);
-    if ctx.fast {
-        // The reduced context trims conversations exactly like the
-        // registered serving artifacts do (see experiments::serve_setup).
-        trace.prompt_mean = 256;
-        trace.output_mean = 48;
-    }
-    let kv = KvSpec::of(model);
-    let cfg = ServeConfig::for_model(model, 2, trace.steady_tokens())
-        .with_kv_hbm_bytes(kv.bytes_per_token * 500)
-        .with_npu(ctx.cfg.npu.clone());
-    (cfg, trace)
+    let (cfg, trace) = serve_setup(ctx, model, rate, seed);
+    let tight = cfg.with_kv_hbm_bytes(KvSpec::of(model).bytes_per_token * 500);
+    (tight, trace)
 }
 
 /// One TensorTEE serving run traced into a fresh private probe.
@@ -59,7 +51,7 @@ pub(crate) fn traced_serve(
     model: &ModelConfig,
     seed: u64,
 ) -> (ServeReport, TraceProbe) {
-    let (cfg, trace_cfg) = attack_serve_setup(ctx, model, seed);
+    let (cfg, trace_cfg) = attack_serve_setup(ctx, model, ctx.serve_rate_rps * 4.0, seed);
     let trace = trace_cfg.generate();
     let probe = SharedProbe::recording();
     let rep = simulate_probed(
@@ -218,7 +210,8 @@ pub fn attack_kv_residency(ctx: &RunContext) -> Report {
         .expect("attack_kv_residency is registered")
         .new_report();
 
-    let (model, fleet_cfg, trace_cfg) = fleet_setup(ctx);
+    let model = ctx.primary_model();
+    let (fleet_cfg, trace_cfg) = fleet_setup(ctx, &model, ctx.fleet_rate_rps, ctx.seed);
     let trace = trace_cfg.generate();
     let probe = SharedProbe::recording();
     let rep = fleet_simulate_probed(
@@ -351,7 +344,8 @@ pub fn attack_defended(ctx: &RunContext) -> Report {
     report.table(shaping_table);
 
     // --- At-rest shielding: one fleet run, two adversary views ------
-    let (fleet_model, fleet_cfg, trace_cfg) = fleet_setup(ctx);
+    let fleet_model = ctx.primary_model();
+    let (fleet_cfg, trace_cfg) = fleet_setup(ctx, &fleet_model, ctx.fleet_rate_rps, ctx.seed);
     let trace = trace_cfg.generate();
     let fleet_probe = SharedProbe::recording();
     let fleet_rep = fleet_simulate_probed(

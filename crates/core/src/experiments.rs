@@ -1126,21 +1126,26 @@ pub(crate) fn mode_key(mode: crate::SecureMode) -> &'static str {
     }
 }
 
-/// The shared serving setup: the primary model, a serving system whose
-/// KV HBM budget holds ~4 steady-state requests (so sustained load
-/// spills KV to CPU DRAM), and the seeded Poisson trace shape.
-fn serve_setup(ctx: &RunContext) -> (ModelConfig, ServeConfig, TraceConfig) {
-    let model = ctx.primary_model();
-    let mut trace = TraceConfig::poisson(ctx.serve_requests, ctx.serve_rate_rps, ctx.seed);
+/// The shared serving setup for `model`: a serving system whose KV HBM
+/// budget holds ~4 steady-state requests (so sustained load spills KV to
+/// CPU DRAM), and the seeded Poisson trace shape at `rate`. The serving
+/// artifacts, the adversary ([`crate::attack`]) and the explorer's
+/// serving evaluators all draw their traffic from here.
+pub(crate) fn serve_setup(
+    ctx: &RunContext,
+    model: &ModelConfig,
+    rate: f64,
+    seed: u64,
+) -> (ServeConfig, TraceConfig) {
+    let mut trace = TraceConfig::poisson(ctx.serve_requests, rate, seed);
     if ctx.fast {
         // Shorter conversations keep the fast registry run in seconds
         // while preserving the prefill/decode and residency shapes.
         trace.prompt_mean = 256;
         trace.output_mean = 48;
     }
-    let cfg =
-        ServeConfig::for_model(&model, 4, trace.steady_tokens()).with_npu(ctx.cfg.npu.clone());
-    (model, cfg, trace)
+    let cfg = ServeConfig::for_model(model, 4, trace.steady_tokens()).with_npu(ctx.cfg.npu.clone());
+    (cfg, trace)
 }
 
 /// One serving sample: one mode on the shared trace.
@@ -1176,7 +1181,8 @@ fn serve_table_rows(table: &mut Table, rows: &[ServeRow]) {
 /// under every context mode, reporting TTFT/TPOT/p99 latency, goodput
 /// and the exposed KV-migration time per mode.
 pub fn serve_latency(ctx: &RunContext) -> (Vec<ServeRow>, Report) {
-    let (model, cfg, trace_cfg) = serve_setup(ctx);
+    let model = ctx.primary_model();
+    let (cfg, trace_cfg) = serve_setup(ctx, &model, ctx.serve_rate_rps, ctx.seed);
     let trace = trace_cfg.generate();
     let rows: Vec<ServeRow> = ctx
         .modes
@@ -1255,7 +1261,8 @@ pub struct ServeSweepRow {
 /// Runs the `serve_sweep` artifact: goodput and tail latency across
 /// offered-load multipliers and arrival burstiness, per mode.
 pub fn serve_sweep(ctx: &RunContext) -> (Vec<ServeSweepRow>, Report) {
-    let (model, cfg, base_trace) = serve_setup(ctx);
+    let model = ctx.primary_model();
+    let (cfg, base_trace) = serve_setup(ctx, &model, ctx.serve_rate_rps, ctx.seed);
     let mut rows = Vec::new();
     let mut table = Table::new([
         "load",
@@ -1323,17 +1330,17 @@ pub fn serve_sweep(ctx: &RunContext) -> (Vec<ServeSweepRow>, Report) {
 
 // ---------------------------------------------------------------------
 
-/// The shared fleet setup: the primary model served by
+/// The shared fleet setup: `model` served by
 /// [`RunContext::fleet_instances`] continuous-batching instances, and the
-/// seeded multi-tenant session trace both fleet artifacts replay.
-pub(crate) fn fleet_setup(ctx: &RunContext) -> (ModelConfig, FleetConfig, SessionTraceConfig) {
-    let model = ctx.primary_model();
-    let mut trace = SessionTraceConfig::poisson(
-        ctx.fleet_requests,
-        ctx.fleet_rate_rps,
-        ctx.fleet_tenants,
-        ctx.seed,
-    );
+/// seeded multi-tenant session trace shape at `rate` that the fleet
+/// artifacts replay and the explorer's fleet evaluator reshapes.
+pub(crate) fn fleet_setup(
+    ctx: &RunContext,
+    model: &ModelConfig,
+    rate: f64,
+    seed: u64,
+) -> (FleetConfig, SessionTraceConfig) {
+    let mut trace = SessionTraceConfig::poisson(ctx.fleet_requests, rate, ctx.fleet_tenants, seed);
     if ctx.fast {
         // Shorter turns keep the fast registry run in seconds while
         // preserving the session/migration shape.
@@ -1341,9 +1348,8 @@ pub(crate) fn fleet_setup(ctx: &RunContext) -> (ModelConfig, FleetConfig, Sessio
         trace.output_mean = 32;
     }
     let serve =
-        ServeConfig::for_model(&model, 4, trace.steady_tokens()).with_npu(ctx.cfg.npu.clone());
-    let cfg = FleetConfig::new(serve, ctx.fleet_instances);
-    (model, cfg, trace)
+        ServeConfig::for_model(model, 4, trace.steady_tokens()).with_npu(ctx.cfg.npu.clone());
+    (FleetConfig::new(serve, ctx.fleet_instances), trace)
 }
 
 /// One fleet sample: one placement policy, one mode, the shared trace.
@@ -1366,7 +1372,8 @@ fn ns_opt(ns: Option<u64>) -> String {
 /// trace served by the fleet under KV-aware placement, per mode —
 /// TTFT/TPOT, goodput, and the exposed KV-handoff time migrations cost.
 pub fn fleet_latency(ctx: &RunContext) -> (Vec<FleetRow>, Report) {
-    let (model, cfg, trace_cfg) = fleet_setup(ctx);
+    let model = ctx.primary_model();
+    let (cfg, trace_cfg) = fleet_setup(ctx, &model, ctx.fleet_rate_rps, ctx.seed);
     let trace = trace_cfg.generate();
     let rows: Vec<FleetRow> = ctx
         .modes
@@ -1441,7 +1448,8 @@ pub fn fleet_latency(ctx: &RunContext) -> (Vec<FleetRow>, Report) {
 /// protocol grid — migrations, migrated bytes, and per-migration exposed
 /// handoff time for every combination on the shared trace.
 pub fn fleet_handoff(ctx: &RunContext) -> (Vec<FleetRow>, Report) {
-    let (model, cfg, trace_cfg) = fleet_setup(ctx);
+    let model = ctx.primary_model();
+    let (cfg, trace_cfg) = fleet_setup(ctx, &model, ctx.fleet_rate_rps, ctx.seed);
     let trace = trace_cfg.generate();
     let mut rows = Vec::new();
     let mut table = Table::new([

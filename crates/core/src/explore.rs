@@ -35,9 +35,10 @@
 //! for any `--threads` value.
 
 use crate::artifact::RunContext;
+use crate::attack::attack_serve_setup;
 use crate::config::{ClusterConfig, SecureMode, SystemConfig};
 use crate::des_cluster::{DesClusterConfig, DesClusterSystem, Parallelism};
-use crate::experiments::{mode_key, serve_profile};
+use crate::experiments::{fleet_setup, mode_key, serve_profile, serve_setup};
 use crate::report::{pct, Report, Table};
 use crate::system::{ClusterSystem, TrainingSystem};
 use std::collections::BTreeMap;
@@ -49,9 +50,7 @@ use tee_comm::Interconnect;
 use tee_explore::{dominator_of, pareto_frontier, tornado, Executor, Knob, Point, Sense, Space};
 use tee_fleet::{simulate as fleet_simulate, FleetConfig, Policy};
 use tee_mem::DramConfig;
-use tee_serve::{
-    simulate, simulate_probed, Diurnal, KvProtocol, ServeConfig, SessionTraceConfig, TraceConfig,
-};
+use tee_serve::{simulate, simulate_probed, Diurnal, KvProtocol, ServeConfig};
 use tee_sim::probe::SharedProbe;
 use tee_sim::{SplitMix64, Time};
 use tee_workloads::zoo::ModelConfig;
@@ -586,13 +585,8 @@ fn eval_serve(ctx: &RunContext, space: &Space, point: &Point) -> Vec<ModeEval> {
     npu.pe_dim = space.value(point, 3) as u64;
     let resident = space.value(point, 4) as u64;
     let trace_seed = SplitMix64::new(ctx.seed).split(0).next_u64();
-    let mut trace_cfg = TraceConfig::poisson(ctx.serve_requests, rate, trace_seed);
-    if ctx.fast {
-        // The reduced context trims conversations exactly like the
-        // registered serving artifacts do (see experiments::serve_setup).
-        trace_cfg.prompt_mean = 256;
-        trace_cfg.output_mean = 48;
-    }
+    // Shared traffic shape; the point's knobs size the serving system.
+    let (_, trace_cfg) = serve_setup(ctx, &model, rate, trace_seed);
     let cfg = ServeConfig::for_model(&model, resident, trace_cfg.steady_tokens()).with_npu(npu);
     let trace = trace_cfg.generate();
     ctx.modes
@@ -626,20 +620,11 @@ fn eval_fleet(ctx: &RunContext, space: &Space, point: &Point) -> Vec<ModeEval> {
     let policy = Policy::all()[space.value(point, 2) as usize];
     let rate = ctx.fleet_rate_rps * space.value(point, 3);
     let trace_seed = SplitMix64::new(ctx.seed).split(1).next_u64();
-    let mut trace_cfg =
-        SessionTraceConfig::poisson(ctx.fleet_requests, rate, ctx.fleet_tenants, trace_seed);
+    let (base, mut trace_cfg) = fleet_setup(ctx, &model, rate, trace_seed);
     if space.value(point, 4) == 1.0 {
         trace_cfg = trace_cfg.with_diurnal(Diurnal::new(4.0, 0.6));
     }
-    if ctx.fast {
-        // The reduced context trims turns exactly like the registered
-        // fleet artifacts do (see experiments::fleet_setup).
-        trace_cfg.prompt_mean = 192;
-        trace_cfg.output_mean = 32;
-    }
-    let serve =
-        ServeConfig::for_model(&model, 4, trace_cfg.steady_tokens()).with_npu(ctx.cfg.npu.clone());
-    let cfg = FleetConfig::new(serve, instances).with_policy(policy);
+    let cfg = FleetConfig::new(base.serve, instances).with_policy(policy);
     let trace = trace_cfg.generate();
     ctx.modes
         .iter()
@@ -676,20 +661,7 @@ fn eval_attack(ctx: &RunContext, space: &Space, point: &Point) -> Vec<ModeEval> 
     let shaping = Shaping::all()[space.value(point, 2) as usize];
     let shield = KvShield::all()[space.value(point, 3) as usize];
     let trace_seed = SplitMix64::new(ctx.seed).split(2).next_u64();
-    let mut trace_cfg = TraceConfig::poisson(ctx.serve_requests, rate, trace_seed);
-    if ctx.fast {
-        // The reduced context trims conversations exactly like the
-        // registered serving artifacts do (see experiments::serve_setup).
-        trace_cfg.prompt_mean = 256;
-        trace_cfg.output_mean = 48;
-    }
-    // A tight KV budget (~500 tokens, the scheduler tests' spill-forcing
-    // idiom) keeps offload/fetch traffic on the wire, so the adversary
-    // has a channel to read once the load knob pushes past one.
-    let kv = tee_serve::KvSpec::of(&model);
-    let cfg = ServeConfig::for_model(&model, 2, trace_cfg.steady_tokens())
-        .with_kv_hbm_bytes(kv.bytes_per_token * 500)
-        .with_npu(ctx.cfg.npu.clone());
+    let (cfg, trace_cfg) = attack_serve_setup(ctx, &model, rate, trace_seed);
     let trace = trace_cfg.generate();
     ctx.modes
         .iter()

@@ -313,7 +313,8 @@ pub fn obs_utilization(ctx: &RunContext) -> Report {
 
     // --- Instrumented fleet run --------------------------------------
     let fleet_probe = SharedProbe::recording();
-    let (fleet_model, fleet_cfg, trace_cfg) = fleet_setup(ctx);
+    let fleet_model = ctx.primary_model();
+    let (fleet_cfg, trace_cfg) = fleet_setup(ctx, &fleet_model, ctx.fleet_rate_rps, ctx.seed);
     let trace = trace_cfg.generate();
     let fleet = fleet_simulate_probed(
         &fleet_cfg.with_policy(Policy::RoundRobin),

@@ -282,7 +282,8 @@ fn attack_kernels(ctx: &RunContext, opts: &BenchOptions) -> Vec<KernelTiming> {
     let (_, snap) = crate::attack::traced_serve(ctx, &model, test_seed);
     let view = Observation::from_trace(&snap);
     let features = view.features(MEASUREMENT_QUANTUM);
-    let (fleet_model, _, trace_cfg) = fleet_setup(ctx);
+    let fleet_model = ctx.primary_model();
+    let (_, trace_cfg) = fleet_setup(ctx, &fleet_model, ctx.fleet_rate_rps, ctx.seed);
     let trace = trace_cfg.generate();
     let (sessions, sizes) = crate::attack::spilled_objects(&fleet_model, &trace);
     let samples: Vec<(u64, u64)> = sessions.into_iter().zip(sizes).collect();

@@ -72,7 +72,9 @@ impl Default for AutoscaleConfig {
 /// Static configuration of one fleet run.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Per-instance serving configuration (NPU shape, batching knobs).
+    /// Per-instance serving configuration: the NPU shape each instance's
+    /// iteration cost is calibrated on, and the batching knobs. The fleet
+    /// does not read `kv_hbm_bytes` (instances model no KV pressure).
     pub serve: ServeConfig,
     /// Provisioned instances (the autoscaling ceiling).
     pub n_instances: usize,

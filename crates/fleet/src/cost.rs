@@ -21,6 +21,7 @@
 //! arithmetic instead of a pipeline simulation.
 
 use tee_npu::engine::NpuEngine;
+use tee_npu::NpuConfig;
 use tee_serve::config::SecurityProfile;
 use tee_serve::iteration_layer;
 use tee_sim::Time;
@@ -51,23 +52,23 @@ pub struct IterCost {
 
 impl IterCost {
     /// Calibrates the surrogate for `(model, profile)` by timing probe
-    /// iterations on the real engine.
-    pub fn calibrate(model: &ModelConfig, profile: &SecurityProfile) -> Self {
-        let engine = NpuEngine::new(tee_npu::NpuConfig::default(), profile.mac);
-        let probe = |prefill: &[u64], decode: &[u64]| -> f64 {
+    /// iterations on the real engine with the `npu` shape.
+    pub fn calibrate(model: &ModelConfig, profile: &SecurityProfile, npu: &NpuConfig) -> Self {
+        let engine = NpuEngine::new(npu.clone(), profile.mac);
+        let probe = |prefill: &[u64], decodes: u64, context: u64| -> f64 {
             engine
-                .run(&[iteration_layer(model, prefill, decode)])
+                .run(&[iteration_layer(model, prefill, decodes, context)])
                 .total
                 .as_ps() as f64
         };
-        let t0 = probe(&[], &[]);
+        let t0 = probe(&[], 0, 0);
         // Decode marginals: per-request at zero context, per-token on top.
-        let per_decode = (probe(&[], &[0; PROBE_R as usize]) - t0).max(0.0) / PROBE_R as f64;
-        let t_ctx0 = probe(&[], &[0]);
-        let per_ctx = (probe(&[], &[PROBE_C]) - t_ctx0).max(0.0) / PROBE_C as f64;
+        let per_decode = (probe(&[], PROBE_R, 0) - t0).max(0.0) / PROBE_R as f64;
+        let t_ctx0 = probe(&[], 1, 0);
+        let per_ctx = (probe(&[], 1, PROBE_C) - t_ctx0).max(0.0) / PROBE_C as f64;
         // Prefill: cost(p) = α·p + β·p², solved from probes at P and 2P.
-        let t1 = probe(&[PROBE_P], &[]) - t0;
-        let t2 = probe(&[2 * PROBE_P], &[]) - t0;
+        let t1 = probe(&[PROBE_P], 0, 0) - t0;
+        let t2 = probe(&[2 * PROBE_P], 0, 0) - t0;
         let p = PROBE_P as f64;
         let beta = ((t2 - 2.0 * t1) / (2.0 * p * p)).max(0.0);
         let alpha = ((t1 - beta * p * p) / p).max(0.0);
@@ -101,11 +102,16 @@ mod tests {
     use super::*;
     use tee_workloads::zoo::by_name;
 
+    /// The surrogate on the default (Table 1) NPU.
+    fn calibrate(model: &ModelConfig, profile: &SecurityProfile) -> IterCost {
+        IterCost::calibrate(model, profile, &NpuConfig::default())
+    }
+
     #[test]
     fn calibration_is_deterministic_and_positive() {
         let model = by_name("GPT").unwrap();
-        let a = IterCost::calibrate(&model, &SecurityProfile::tensor_tee());
-        let b = IterCost::calibrate(&model, &SecurityProfile::tensor_tee());
+        let a = calibrate(&model, &SecurityProfile::tensor_tee());
+        let b = calibrate(&model, &SecurityProfile::tensor_tee());
         assert_eq!(a, b);
         assert!(a.base_ps > 0.0);
         assert!(a.per_decode_ps >= 0.0 && a.per_ctx_token_ps >= 0.0);
@@ -114,7 +120,7 @@ mod tests {
     #[test]
     fn cost_is_monotone_in_work() {
         let model = by_name("GPT").unwrap();
-        let c = IterCost::calibrate(&model, &SecurityProfile::non_secure());
+        let c = calibrate(&model, &SecurityProfile::non_secure());
         let idle = c.iteration(&[], 0, 0);
         let one = c.iteration(&[], 1, 256);
         let eight = c.iteration(&[], 8, 8 * 256);
@@ -132,8 +138,8 @@ mod tests {
     #[test]
     fn secure_modes_cost_at_least_non_secure() {
         let model = by_name("GPT").unwrap();
-        let ns = IterCost::calibrate(&model, &SecurityProfile::non_secure());
-        let sgx = IterCost::calibrate(&model, &SecurityProfile::sgx_mgx());
+        let ns = calibrate(&model, &SecurityProfile::non_secure());
+        let sgx = calibrate(&model, &SecurityProfile::sgx_mgx());
         let work = |c: &IterCost| c.iteration(&[256], 8, 4096);
         assert!(work(&sgx) >= work(&ns), "{} vs {}", work(&sgx), work(&ns));
     }
@@ -145,15 +151,14 @@ mod tests {
         prefills: &[u64],
         decodes: &[u64],
     ) -> f64 {
-        let c = IterCost::calibrate(model, profile);
-        let engine = NpuEngine::new(tee_npu::NpuConfig::default(), profile.mac);
+        let c = calibrate(model, profile);
+        let engine = NpuEngine::new(NpuConfig::default(), profile.mac);
+        let (r, ctx_sum) = (decodes.len() as u64, decodes.iter().sum());
         let exact = engine
-            .run(&[iteration_layer(model, prefills, decodes)])
+            .run(&[iteration_layer(model, prefills, r, ctx_sum)])
             .total
             .as_ps() as f64;
-        let approx = c
-            .iteration(prefills, decodes.len() as u64, decodes.iter().sum())
-            .as_ps() as f64;
+        let approx = c.iteration(prefills, r, ctx_sum).as_ps() as f64;
         (approx - exact).abs() / exact
     }
 

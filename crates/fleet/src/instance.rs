@@ -1,9 +1,8 @@
-//! One serving instance as a DES component: a continuous-batching
-//! iteration loop priced by the calibrated [`IterCost`] surrogate.
+//! One serving instance as a DES component: the shared `tee-serve`
+//! [`Batcher`] (iteration-level admission, per-token bookkeeping) on the
+//! fleet clock, priced by the calibrated [`IterCost`] surrogate.
 //!
-//! The instance mirrors the `tee-serve` scheduler's iteration-level
-//! admission (batch slots + prefill token budget, FIFO, head never
-//! starved) but runs open-ended inside the fleet scheduler: requests
+//! The instance runs open-ended inside the fleet scheduler: requests
 //! arrive as [`Msg::Dispatch`] messages from the router, completions are
 //! reported back as [`Msg::Done`]. A [`Msg::Stall`] extends the current
 //! busy window — that is how a staged (non-overlappable) KV handoff
@@ -11,62 +10,10 @@
 
 use crate::cost::IterCost;
 use crate::sim::Msg;
-use std::collections::VecDeque;
-use tee_serve::SessionRequest;
+use tee_serve::{BatchMetrics, Batcher, ServeConfig};
 use tee_sim::des::{Component, Ctx};
 use tee_sim::probe::SharedProbe;
-use tee_sim::{Histogram, Time};
-
-/// An admitted turn working through prefill + decode iterations.
-#[derive(Debug, Clone, Copy)]
-struct ActiveTurn {
-    req: SessionRequest,
-    /// Tokens produced so far (0 = prefill still pending).
-    generated: u64,
-    first_token_at: Option<Time>,
-}
-
-impl ActiveTurn {
-    /// Cached context streamed for this turn's attention: carried session
-    /// history plus own prompt plus everything generated.
-    fn context(&self) -> u64 {
-        self.req.context_tokens + self.req.request.prompt_tokens + self.generated
-    }
-}
-
-/// Latency/throughput metrics one instance accumulates; the fleet report
-/// merges these across instances ([`Histogram::merge`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct InstanceMetrics {
-    /// Time-to-first-token per completed-prefill turn, ns.
-    pub ttft_ns: Histogram,
-    /// End-to-end latency per completed turn, ns.
-    pub latency_ns: Histogram,
-    /// Time-per-output-token per completed turn, ns.
-    pub tpot_ns: Histogram,
-    /// Output tokens generated.
-    pub output_tokens: u64,
-    /// Iterations launched.
-    pub iterations: u64,
-    /// Total busy (iteration) time including stall extensions.
-    pub busy_time: Time,
-    /// Turns completed.
-    pub completed: u32,
-}
-
-impl InstanceMetrics {
-    fn new() -> Self {
-        InstanceMetrics {
-            ttft_ns: Histogram::new(),
-            latency_ns: Histogram::new(),
-            tpot_ns: Histogram::new(),
-            output_tokens: 0,
-            iterations: 0,
-            busy_time: Time::ZERO,
-            completed: 0,
-        }
-    }
-}
+use tee_sim::Time;
 
 /// A serving instance component.
 #[derive(Debug)]
@@ -75,10 +22,7 @@ pub struct Instance {
     index: usize,
     router: usize,
     cost: IterCost,
-    max_batch: usize,
-    prefill_token_budget: u64,
-    waiting: VecDeque<SessionRequest>,
-    running: Vec<ActiveTurn>,
+    batch: Batcher,
     /// `true` while an iteration is in flight; its end is `wake`.
     busy: bool,
     /// Next tick: iteration end when busy, pending-start wake otherwise.
@@ -86,33 +30,25 @@ pub struct Instance {
     /// Earliest next iteration start (staged-handoff serialization
     /// received while idle).
     stall_until: Time,
-    /// Metrics, exposed to the fleet collector after the run.
-    pub metrics: InstanceMetrics,
     probe: SharedProbe,
 }
 
 impl Instance {
-    /// Creates an idle instance. `router` is the router's component id.
-    pub fn new(
-        index: usize,
-        router: usize,
-        cost: IterCost,
-        max_batch: usize,
-        prefill_token_budget: u64,
-    ) -> Self {
-        assert!(max_batch >= 1, "need at least one batch slot");
+    /// Creates an idle instance batching under `serve`'s knobs. `router`
+    /// is the router's component id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `serve.max_batch` is zero.
+    pub fn new(index: usize, router: usize, cost: IterCost, serve: &ServeConfig) -> Self {
         Instance {
             index,
             router,
             cost,
-            max_batch,
-            prefill_token_budget,
-            waiting: VecDeque::new(),
-            running: Vec::new(),
+            batch: Batcher::new(serve.max_batch, serve.prefill_token_budget),
             busy: false,
             wake: Time::MAX,
             stall_until: Time::ZERO,
-            metrics: InstanceMetrics::new(),
             probe: SharedProbe::Null,
         }
     }
@@ -129,105 +65,31 @@ impl Instance {
         self.index
     }
 
-    /// Admits waiting turns (batch slots + prefill token budget, head
-    /// never starved) and launches one fused iteration if there is work.
+    /// Latency/throughput metrics, merged by the fleet report.
+    pub fn metrics(&self) -> &BatchMetrics {
+        self.batch.metrics()
+    }
+
+    /// Launches one fused iteration over every running turn, if any.
     fn start_iteration(&mut self, now: Time) {
-        let mut new_prompt_tokens: u64 = self
-            .running
-            .iter()
-            .filter(|a| a.generated == 0)
-            .map(|a| a.req.request.prompt_tokens)
-            .sum();
-        while self.running.len() < self.max_batch {
-            let Some(req) = self.waiting.front() else {
-                break;
-            };
-            let p = req.request.prompt_tokens;
-            if new_prompt_tokens > 0 && new_prompt_tokens + p > self.prefill_token_budget {
-                break;
-            }
-            let req = self.waiting.pop_front().expect("front checked above");
-            new_prompt_tokens += p;
-            self.running.push(ActiveTurn {
-                req,
-                generated: 0,
-                first_token_at: None,
-            });
-        }
-        if self.running.is_empty() {
+        let Some(it) = self.batch.launch(|_| true) else {
             self.busy = false;
             self.wake = Time::MAX;
             return;
-        }
+        };
         // Prefills pay their new prompt (quadratic attention inside the
         // surrogate); their carried session history joins the streamed
         // context, as do all decode contexts.
-        let mut prefills: Vec<u64> = Vec::new();
-        let mut r = 0u64;
-        let mut ctx_sum = 0u64;
-        for a in &self.running {
-            if a.generated == 0 {
-                prefills.push(a.req.request.prompt_tokens);
-                ctx_sum += a.req.context_tokens;
-            } else {
-                r += 1;
-                ctx_sum += a.context();
-            }
-        }
-        let dt = self.cost.iteration(&prefills, r, ctx_sum);
-        self.metrics.iterations += 1;
-        self.metrics.busy_time += dt;
+        let dt = self
+            .cost
+            .iteration(&it.prefills, it.decodes, it.context_sum());
         self.busy = true;
         self.wake = now + dt;
         if self.probe.enabled() {
-            let name = match (prefills.is_empty(), r) {
-                (false, 0) => "prefill",
-                (true, _) => "decode",
-                _ => "mixed",
-            };
             self.probe
-                .span(&format!("NPU{}", self.index), name, now, self.wake);
+                .span(&format!("NPU{}", self.index), it.kind(), now, self.wake);
             self.probe.count("fleet.iterations", 1);
         }
-    }
-
-    /// Applies a finished iteration: every running turn produced one
-    /// token; completions are recorded and reported to the router.
-    fn finish_iteration(&mut self, now: Time, ctx: &mut Ctx<'_, Msg>) {
-        let metrics = &mut self.metrics;
-        let router = self.router;
-        let index = self.index;
-        self.running.retain_mut(|a| {
-            if a.generated == 0 {
-                a.first_token_at = Some(now);
-                metrics
-                    .ttft_ns
-                    .record((now - a.req.request.arrival).as_ns_f64().round() as u64);
-            }
-            a.generated += 1;
-            if a.generated < a.req.request.output_tokens {
-                return true;
-            }
-            metrics.completed += 1;
-            metrics.output_tokens += a.req.request.output_tokens;
-            metrics
-                .latency_ns
-                .record((now - a.req.request.arrival).as_ns_f64().round() as u64);
-            if a.req.request.output_tokens > 1 {
-                let first = a.first_token_at.expect("completed turn prefilled");
-                let per_token =
-                    (now - first).as_ns_f64() / (a.req.request.output_tokens - 1) as f64;
-                metrics.tpot_ns.record(per_token.round() as u64);
-            }
-            ctx.send(
-                router,
-                Msg::Done {
-                    instance: index,
-                    session: a.req.session,
-                },
-            );
-            false
-        });
     }
 }
 
@@ -240,7 +102,11 @@ impl Component for Instance {
 
     fn tick(&mut self, now: Time, ctx: &mut Ctx<'_, Msg>) {
         if self.busy {
-            self.finish_iteration(now, ctx);
+            let (router, instance) = (self.router, self.index);
+            self.batch.finish(now, |a| {
+                let session = a.req.session;
+                ctx.send(router, Msg::Done { instance, session });
+            });
             self.busy = false;
         }
         if now < self.stall_until {
@@ -253,7 +119,7 @@ impl Component for Instance {
     fn receive(&mut self, now: Time, msg: Msg, _ctx: &mut Ctx<'_, Msg>) {
         match msg {
             Msg::Dispatch(req) => {
-                self.waiting.push_back(req);
+                self.batch.push(req);
                 if !self.busy {
                     // Wake (this timestamp or after the stall) to admit.
                     self.wake = now.max(self.stall_until);
@@ -264,7 +130,6 @@ impl Component for Instance {
                 // extend the in-flight iteration, or push the next start.
                 if self.busy {
                     self.wake += d;
-                    self.metrics.busy_time += d;
                 } else {
                     self.stall_until = self.stall_until.max(now) + d;
                     if self.wake != Time::MAX {

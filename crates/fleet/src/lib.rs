@@ -2,8 +2,9 @@
 //!
 //! KV-cache-aware fleet serving simulator on the `tee-sim` discrete-event
 //! core: M continuous-batching serving instances (each a [`des`]
-//! component priced by a calibrated surrogate of the fused NPU
-//! iteration) behind a cluster [`router::Router`] with
+//! component running the shared [`tee_serve::Batcher`], priced by a
+//! surrogate of the fused NPU iteration calibrated on the configured
+//! NPU) behind a cluster [`router::Router`] with
 //!
 //! * pluggable placement ([`Policy`]): round-robin, least-loaded, and
 //!   KV-aware (follow-up turns of a session go home to the instance

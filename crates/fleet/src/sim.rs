@@ -111,7 +111,7 @@ pub fn simulate_probed(
     probe: &SharedProbe,
 ) -> FleetReport {
     let kv = KvSpec::of(model);
-    let cost = IterCost::calibrate(model, profile);
+    let cost = IterCost::calibrate(model, profile, &cfg.serve.npu);
     let mut sched: Scheduler<Node> = Scheduler::new();
     sched.set_probe(probe.clone());
     let router_id = sched.add(Node::Router(Box::new(
@@ -125,14 +125,7 @@ pub fn simulate_probed(
     )));
     for i in 0..cfg.n_instances {
         sched.add(Node::Instance(Box::new(
-            Instance::new(
-                i,
-                router_id,
-                cost,
-                cfg.serve.max_batch,
-                cfg.serve.prefill_token_budget,
-            )
-            .with_probe(probe.clone()),
+            Instance::new(i, router_id, cost, &cfg.serve).with_probe(probe.clone()),
         )));
     }
     for r in trace {
@@ -181,7 +174,7 @@ pub fn simulate_probed(
                 report.router_stats = acc.stats;
             }
             Node::Instance(inst) => {
-                let m = &inst.metrics;
+                let m = inst.metrics();
                 report.output_tokens += m.output_tokens;
                 report.iterations += m.iterations;
                 report.ttft_ns.merge(&m.ttft_ns);

@@ -199,3 +199,25 @@ fn single_instance_never_migrates() {
     assert_eq!(r.migrations, 0, "one instance, KV always home");
     assert_eq!(r.handoff_exposed_time, Time::ZERO);
 }
+
+#[test]
+fn instances_run_on_the_configured_npu() {
+    // A quarter of the PE array and a quarter of the GDDR bandwidth must
+    // slow every iteration, so the same trace takes longer to drain.
+    let t = trace(48, 13);
+    let base = fleet(2);
+    let mut npu = base.serve.npu.clone();
+    npu.pe_dim /= 4;
+    npu.dram.channel_bytes_per_sec /= 4.0;
+    let mut small = base.clone();
+    small.serve = small.serve.with_npu(npu);
+    let profile = SecurityProfile::tensor_tee();
+    let fast = run(&base, &profile, &t);
+    let slow = run(&small, &profile, &t);
+    assert!(
+        slow.makespan > fast.makespan,
+        "quarter NPU {} vs full {}",
+        slow.makespan,
+        fast.makespan
+    );
+}

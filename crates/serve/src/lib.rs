@@ -12,8 +12,13 @@
 //!   [`SecurityProfile`] mapping each paper mode to a MAC scheme + KV
 //!   transfer protocol (coarse-MAC + staging vs tensor-MAC + direct),
 //! * [`kv`] — the bounded HBM [`KvPool`] with LRU spill to CPU DRAM,
-//! * [`scheduler`] — the continuous-batching discrete-event loop pricing
-//!   fused prefill/decode iterations through [`tee_npu::NpuEngine`],
+//! * [`batch`] — the continuous-batching core ([`Batcher`]): FIFO
+//!   admission under batch-slot and prefill-token budgets, per-token
+//!   bookkeeping, TTFT/TPOT/latency; shared with the `tee-fleet`
+//!   instances,
+//! * [`scheduler`] — the discrete-event loop around the [`Batcher`]: KV
+//!   residency reservation and fused prefill/decode iterations priced
+//!   through [`tee_npu::NpuEngine`],
 //! * [`report`] — [`ServeReport`]: TTFT/TPOT/latency percentiles,
 //!   goodput, and exposed KV-migration time.
 //!
@@ -31,12 +36,14 @@
 //! assert!(report.goodput_tps() > 0.0);
 //! ```
 
+pub mod batch;
 pub mod config;
 pub mod kv;
 pub mod report;
 pub mod scheduler;
 pub mod trace;
 
+pub use batch::{Active, BatchMetrics, Batcher, Iteration};
 pub use config::{KvProtocol, KvSpec, SecurityProfile, ServeConfig};
 pub use kv::{KvPool, Residency};
 pub use report::ServeReport;

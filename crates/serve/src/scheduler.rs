@@ -1,13 +1,15 @@
 //! The continuous-batching serving simulator.
 //!
-//! A deterministic discrete-event loop on [`tee_sim::EventQueue`]
-//! (Orca/vLLM-style iteration-level scheduling):
+//! A deterministic discrete-event loop on [`tee_sim::EventQueue`] around
+//! the shared [`Batcher`] (see [`crate::batch`] for admission and
+//! per-token bookkeeping). This driver adds the clock and the pricing:
 //!
-//! 1. arrivals join a FIFO admission queue,
-//! 2. each iteration admits waiting requests up to `max_batch` slots and
-//!    `prefill_token_budget` new prompt tokens, then schedules the subset
-//!    of active requests whose KV caches fit the HBM budget (in admission
-//!    order; surplus KV offloads to CPU DRAM via [`crate::kv::KvPool`]),
+//! 1. arrivals are pushed to the batcher; a whole delta cycle drains
+//!    before the next iteration launches, so co-arrivals batch together,
+//! 2. the batcher's `schedule` callback reserves each running request's
+//!    KV residency in the HBM budget (in admission order; surplus KV
+//!    offloads to CPU DRAM via [`crate::kv::KvPool`]); a request that
+//!    does not fit sits the iteration out,
 //! 3. the iteration is priced as **one fused NPU kernel** through
 //!    [`tee_npu::NpuEngine`] under the profile's MAC scheme: model
 //!    weights stream once per iteration, prefill tokens add GEMM-shaped
@@ -22,15 +24,16 @@
 //! The loop is bit-reproducible: same config + profile + trace → the
 //! same [`ServeReport`].
 
+use crate::batch::Batcher;
 use crate::config::{KvSpec, SecurityProfile, ServeConfig};
 use crate::kv::KvPool;
 use crate::report::ServeReport;
 use crate::trace::Request;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use tee_comm::schedule::exposed_time;
 use tee_npu::engine::{Layer, NpuEngine};
 use tee_sim::probe::SharedProbe;
-use tee_sim::{EventQueue, Histogram, Time};
+use tee_sim::{EventQueue, Time};
 use tee_workloads::zoo::ModelConfig;
 
 const FP16: u64 = 2;
@@ -42,27 +45,6 @@ enum Event {
     Arrival(usize),
     /// The in-flight iteration completes.
     IterDone,
-}
-
-/// One admitted (active) request.
-#[derive(Debug, Clone, Copy)]
-struct Active {
-    id: u32,
-    arrival: Time,
-    prompt_tokens: u64,
-    /// Output tokens to produce, including the prefill-produced first one.
-    target_tokens: u64,
-    /// Tokens produced so far (0 = still waiting for prefill).
-    generated: u64,
-    /// When the first token came out (set at the end of the prefill
-    /// iteration).
-    first_token_at: Option<Time>,
-}
-
-impl Active {
-    fn context(&self) -> u64 {
-        self.prompt_tokens + self.generated
-    }
 }
 
 /// Simulates serving `trace` on one system under one security profile.
@@ -95,7 +77,7 @@ pub fn simulate_probed(
     trace: &[Request],
     probe: &SharedProbe,
 ) -> ServeReport {
-    assert!(cfg.max_batch > 0, "need at least one batch slot");
+    let mut batch = Batcher::new(cfg.max_batch, cfg.prefill_token_budget);
     let kv = KvSpec::of(model);
     let engine = NpuEngine::new(cfg.npu.clone(), profile.mac);
     let mut pool = KvPool::new(cfg.kv_hbm_bytes);
@@ -103,254 +85,150 @@ pub fn simulate_probed(
     for (i, r) in trace.iter().enumerate() {
         queue.schedule(r.arrival, Event::Arrival(i));
     }
-
-    let mut waiting: VecDeque<usize> = VecDeque::new();
-    let mut running: Vec<Active> = Vec::new();
-    // Ids scheduled in the in-flight iteration (indices into `running`
-    // are unstable across completions, ids are not).
-    let mut in_flight: Vec<u32> = Vec::new();
     let mut busy = false;
-
-    let mut report = ServeReport {
-        total_requests: trace.len() as u32,
-        completed_requests: 0,
-        output_tokens: 0,
-        makespan: Time::ZERO,
-        iterations: 0,
-        ttft_ns: Histogram::new(),
-        latency_ns: Histogram::new(),
-        tpot_ns: Histogram::new(),
-        npu_time: Time::ZERO,
-        kv_transfer_time: Time::ZERO,
-        kv_exposed_time: Time::ZERO,
-        kv_stats: tee_sim::StatSet::new("kv_pool"),
-    };
+    let mut npu_time = Time::ZERO;
+    let mut kv_transfer_time = Time::ZERO;
+    let mut kv_exposed_time = Time::ZERO;
 
     loop {
         // Drain the whole delta cycle so co-arrivals (a bursty group lands
         // on one timestamp) are all admissible before the next iteration
         // launches.
-        let batch = queue.pop_batch();
-        if batch.is_empty() {
+        let events = queue.pop_batch();
+        if events.is_empty() {
             break;
         }
         let now = queue.now();
-        for (_, event) in batch {
+        for (_, event) in events {
             match event {
                 Event::Arrival(i) => {
                     if probe.enabled() {
                         probe.instant("CPU", "arrival", now);
                     }
-                    waiting.push_back(i);
+                    batch.push(trace[i].into());
                 }
                 Event::IterDone => {
-                    finish_iteration(now, &in_flight, &mut running, &mut pool, &mut report);
-                    in_flight.clear();
+                    batch.finish(now, |a| {
+                        pool.release(a.req.request.id);
+                    });
                     busy = false;
                 }
             }
         }
-        if !busy {
-            // Admit up to the batch/prefill budgets (a prompt longer than
-            // the whole budget is admitted alone rather than starved).
-            // Already-admitted requests still awaiting prefill (e.g. ones
-            // the KV reservation skipped last iteration) count against the
-            // budget too — the bound is on prompt tokens an iteration may
-            // prefill, not on admission events.
-            let mut new_prompt_tokens: u64 = running
-                .iter()
-                .filter(|a| a.generated == 0)
-                .map(|a| a.prompt_tokens)
-                .sum();
-            while running.len() < cfg.max_batch {
-                let Some(&i) = waiting.front() else { break };
-                let r = trace[i];
-                if new_prompt_tokens > 0
-                    && new_prompt_tokens + r.prompt_tokens > cfg.prefill_token_budget
-                {
-                    break;
-                }
-                waiting.pop_front();
-                new_prompt_tokens += r.prompt_tokens;
-                running.push(Active {
-                    id: r.id,
-                    arrival: r.arrival,
-                    prompt_tokens: r.prompt_tokens,
-                    target_tokens: r.output_tokens,
-                    generated: 0,
-                    first_token_at: None,
-                });
+        if busy {
+            continue;
+        }
+        // Reserve KV residency in admission order; the head request is
+        // forced so progress is guaranteed even when its KV alone exceeds
+        // the budget. A skipped request's KV stays (or goes) cold.
+        let mut protected: BTreeSet<u32> = BTreeSet::new();
+        let mut fetched = 0u64;
+        let mut offloaded = 0u64;
+        let Some(it) = batch.launch(|a| {
+            let force = protected.is_empty();
+            if force {
+                // First request of a new iteration: advance the LRU clock.
+                pool.tick();
             }
-            if let Some(dt) = start_iteration(
-                now,
+            // KV bytes this request holds by the end of the iteration:
+            // the full prompt for a prefill, one more token for a decode.
+            let tokens = if a.is_prefill() {
+                a.req.request.prompt_tokens
+            } else {
+                a.context() + 1
+            };
+            let id = a.req.request.id;
+            let Some(out) = pool.reserve(id, tokens * kv.bytes_per_token, &protected, force) else {
+                return false;
+            };
+            protected.insert(id);
+            fetched += out.fetched_bytes;
+            offloaded += out.offloaded_bytes;
+            true
+        }) else {
+            continue;
+        };
+
+        // One fused kernel per iteration (continuous batching launches the
+        // whole transformer stack once over the mixed batch).
+        let npu = engine
+            .run(&[iteration_layer(
                 model,
-                profile,
-                &kv,
-                &engine,
-                &mut pool,
-                &running,
-                &mut in_flight,
-                &mut report,
-                probe,
-            ) {
-                queue.schedule_after(dt, Event::IterDone);
-                busy = true;
+                &it.prefills,
+                it.decodes,
+                it.decode_context,
+            )])
+            .total;
+        // KV migration: fetches and offloads each cross the CPU↔NPU link
+        // once under the profile's protocol.
+        let kv_time = profile.kv_protocol.transfer_time(fetched)
+            + profile.kv_protocol.transfer_time(offloaded);
+        let kv_exposed = if profile.kv_protocol.can_overlap_compute() {
+            exposed_time(npu, kv_time)
+        } else {
+            kv_time
+        };
+        npu_time += npu;
+        kv_transfer_time += kv_time;
+        kv_exposed_time += kv_exposed;
+        if probe.enabled() {
+            probe.span("NPU", it.kind(), now, now + npu);
+            probe.count("serve.iterations", 1);
+            if kv_time > Time::ZERO {
+                probe.span("link", "kv_transfer", now, now + kv_time);
+                probe.count("serve.kv_exposed_ps", kv_exposed.as_ps());
+            }
+            if fetched > 0 {
+                probe.instant("CPU", "kv_fetch", now);
+                probe.count("serve.kv_fetch_bytes", fetched);
+            }
+            if offloaded > 0 {
+                probe.instant("CPU", "kv_offload", now);
+                probe.count("serve.kv_offload_bytes", offloaded);
             }
         }
-    }
-    report.kv_stats = pool.stats().clone();
-    report
-}
-
-/// Plans and prices one iteration. Returns its duration, or `None` when
-/// there is nothing to run. Fills `in_flight` with the scheduled ids.
-#[allow(clippy::too_many_arguments)]
-fn start_iteration(
-    now: Time,
-    model: &ModelConfig,
-    profile: &SecurityProfile,
-    kv: &KvSpec,
-    engine: &NpuEngine,
-    pool: &mut KvPool,
-    running: &[Active],
-    in_flight: &mut Vec<u32>,
-    report: &mut ServeReport,
-    probe: &SharedProbe,
-) -> Option<Time> {
-    if running.is_empty() {
-        return None;
-    }
-    pool.tick();
-    // Reserve KV residency in admission order; the head request is forced
-    // so progress is guaranteed even when its KV alone exceeds the budget.
-    let mut protected: BTreeSet<u32> = BTreeSet::new();
-    let mut fetched = 0u64;
-    let mut offloaded = 0u64;
-    let mut prefill_prompts: Vec<u64> = Vec::new();
-    let mut decode_ctxs: Vec<u64> = Vec::new();
-    for a in running {
-        // KV bytes this request holds by the end of the iteration: the
-        // full prompt for a prefill, one more token for a decode.
-        let needed = if a.generated == 0 {
-            a.prompt_tokens * kv.bytes_per_token
-        } else {
-            (a.context() + 1) * kv.bytes_per_token
-        };
-        let force = protected.is_empty();
-        let Some(out) = pool.reserve(a.id, needed, &protected, force) else {
-            continue; // skipped this iteration: its KV stays (or goes) cold
-        };
-        protected.insert(a.id);
-        in_flight.push(a.id);
-        fetched += out.fetched_bytes;
-        offloaded += out.offloaded_bytes;
-        if a.generated == 0 {
-            prefill_prompts.push(a.prompt_tokens);
-        } else {
-            decode_ctxs.push(a.context());
-        }
+        queue.schedule_after(npu + kv_exposed, Event::IterDone);
+        busy = true;
     }
 
-    // One fused kernel per iteration (continuous batching launches the
-    // whole transformer stack once over the mixed batch).
-    let layer = iteration_layer(model, &prefill_prompts, &decode_ctxs);
-    let npu = engine.run(&[layer]).total;
-
-    // KV migration: fetches and offloads each cross the CPU↔NPU link
-    // once under the profile's protocol.
-    let kv_time =
-        profile.kv_protocol.transfer_time(fetched) + profile.kv_protocol.transfer_time(offloaded);
-    let kv_exposed = if profile.kv_protocol.can_overlap_compute() {
-        exposed_time(npu, kv_time)
-    } else {
-        kv_time
-    };
-
-    report.iterations += 1;
-    report.npu_time += npu;
-    report.kv_transfer_time += kv_time;
-    report.kv_exposed_time += kv_exposed;
-    if probe.enabled() {
-        let name = match (prefill_prompts.is_empty(), decode_ctxs.is_empty()) {
-            (false, true) => "prefill",
-            (true, false) => "decode",
-            _ => "mixed",
-        };
-        probe.span("NPU", name, now, now + npu);
-        probe.count("serve.iterations", 1);
-        if kv_time > Time::ZERO {
-            probe.span("link", "kv_transfer", now, now + kv_time);
-            probe.count("serve.kv_exposed_ps", kv_exposed.as_ps());
-        }
-        if fetched > 0 {
-            probe.instant("CPU", "kv_fetch", now);
-            probe.count("serve.kv_fetch_bytes", fetched);
-        }
-        if offloaded > 0 {
-            probe.instant("CPU", "kv_offload", now);
-            probe.count("serve.kv_offload_bytes", offloaded);
-        }
+    let m = batch.metrics().clone();
+    ServeReport {
+        total_requests: trace.len() as u32,
+        completed_requests: m.completed,
+        output_tokens: m.output_tokens,
+        makespan: m.last_completion,
+        iterations: m.iterations,
+        ttft_ns: m.ttft_ns,
+        latency_ns: m.latency_ns,
+        tpot_ns: m.tpot_ns,
+        npu_time,
+        kv_transfer_time,
+        kv_exposed_time,
+        kv_stats: pool.stats().clone(),
     }
-    Some(npu + kv_exposed)
-}
-
-/// Applies the effects of a finished iteration at time `now`.
-fn finish_iteration(
-    now: Time,
-    in_flight: &[u32],
-    running: &mut Vec<Active>,
-    pool: &mut KvPool,
-    report: &mut ServeReport,
-) {
-    for &id in in_flight {
-        let a = running
-            .iter_mut()
-            .find(|a| a.id == id)
-            .expect("scheduled request is active");
-        if a.generated == 0 {
-            a.first_token_at = Some(now);
-            report
-                .ttft_ns
-                .record((now - a.arrival).as_ns_f64().round() as u64);
-        }
-        a.generated += 1;
-    }
-    running.retain(|a| {
-        if a.generated < a.target_tokens {
-            return true;
-        }
-        report.completed_requests += 1;
-        report.output_tokens += a.target_tokens;
-        report.makespan = report.makespan.max(now);
-        report
-            .latency_ns
-            .record((now - a.arrival).as_ns_f64().round() as u64);
-        if a.target_tokens > 1 {
-            let first = a.first_token_at.expect("completed request prefilled");
-            let per_token = (now - first).as_ns_f64() / (a.target_tokens - 1) as f64;
-            report.tpot_ns.record(per_token.round() as u64);
-        }
-        pool.release(a.id);
-        false
-    });
 }
 
 /// The fused NPU kernel of one iteration: one GEMM-shaped prompt pass
-/// per length in `prefill_prompts` plus one GEMV-shaped decode step for
-/// every context in `decode_ctxs`, across all `model.layers` transformer
-/// layers.
+/// per length in `prefill_prompts` plus `decodes` GEMV-shaped decode
+/// steps that together stream `decode_context` cached tokens, across all
+/// `model.layers` transformer layers. The same three inputs drive the
+/// fleet's `IterCost` surrogate.
 ///
 /// Weights stream once; decode attention streams each request's cached
 /// KV (memory-bound — the AMLA analysis shows decode attention is
 /// dominated by rescaling/streaming, not multiplies) and appends one
 /// token of KV per request. The fleet's `IterCost` surrogate calibrates
 /// against this same kernel.
-pub fn iteration_layer(model: &ModelConfig, prefill_prompts: &[u64], decode_ctxs: &[u64]) -> Layer {
+pub fn iteration_layer(
+    model: &ModelConfig,
+    prefill_prompts: &[u64],
+    decodes: u64,
+    decode_context: u64,
+) -> Layer {
     let h = model.hidden;
     let layers = model.layers;
     let weight_bytes = 12 * h * h * FP16 * layers;
-    let r = decode_ctxs.len() as u64;
-    let ctx_sum: u64 = decode_ctxs.iter().sum();
+    let (r, ctx_sum) = (decodes, decode_context);
     let p: u64 = prefill_prompts.iter().sum();
 
     // GEMV projections per decode + quadratic prompt GEMMs per prefill;
@@ -455,8 +333,8 @@ mod tests {
         // The fused iteration streams weights once for the whole batch, so
         // decoding 8 contexts costs far less than 8× one context.
         let model = by_name("GPT2-M").unwrap();
-        let one = iteration_layer(&model, &[], &[256]);
-        let eight = iteration_layer(&model, &[], &[256; 8]);
+        let one = iteration_layer(&model, &[], 1, 256);
+        let eight = iteration_layer(&model, &[], 8, 8 * 256);
         assert_eq!(one.w_bytes, eight.w_bytes);
         assert!(eight.in_bytes < 8 * (one.in_bytes + one.w_bytes));
     }
@@ -467,8 +345,8 @@ mod tests {
         // one 1024² term — independent requests never attend to each
         // other.
         let model = by_name("GPT2-M").unwrap();
-        let split = iteration_layer(&model, &[512, 512], &[]);
-        let fused = iteration_layer(&model, &[1024], &[]);
+        let split = iteration_layer(&model, &[512, 512], 0, 0);
+        let fused = iteration_layer(&model, &[1024], 0, 0);
         assert!(split.macs < fused.macs);
         let h = model.hidden;
         assert_eq!(
